@@ -2,7 +2,9 @@
 
 #include <zlib.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "dockmine/compress/crc32.h"
 
@@ -32,6 +34,13 @@ std::uint32_t get_le32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// zlib counts the bytes it may read or write in a 32-bit `uInt`, so a
+/// buffer is handed over in slices of at most UINT_MAX bytes.
+uInt zlib_slice(std::size_t remaining) {
+  return static_cast<uInt>(
+      std::min<std::size_t>(remaining, std::numeric_limits<uInt>::max()));
+}
+
 /// Raw DEFLATE (no zlib/gzip wrapper) of `raw`.
 util::Result<std::string> deflate_raw(std::string_view raw, int level) {
   z_stream zs{};
@@ -42,11 +51,18 @@ util::Result<std::string> deflate_raw(std::string_view raw, int level) {
   std::string out;
   out.resize(deflateBound(&zs, static_cast<uLong>(raw.size())));
   zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(raw.data()));
-  zs.avail_in = static_cast<uInt>(raw.size());
+  const Bytef* const in_end = zs.next_in + raw.size();
   zs.next_out = reinterpret_cast<Bytef*>(out.data());
-  zs.avail_out = static_cast<uInt>(out.size());
-  const int rc = deflate(&zs, Z_FINISH);
-  const std::size_t produced = out.size() - zs.avail_out;
+  const Bytef* const out_end = zs.next_out + out.size();
+  int rc = Z_OK;
+  while (rc == Z_OK) {
+    if (zs.avail_in == 0) zs.avail_in = zlib_slice(in_end - zs.next_in);
+    if (zs.avail_out == 0) zs.avail_out = zlib_slice(out_end - zs.next_out);
+    rc = deflate(&zs, zs.next_in + zs.avail_in == in_end ? Z_FINISH
+                                                          : Z_NO_FLUSH);
+  }
+  const std::size_t produced =
+      static_cast<std::size_t>(zs.next_out - reinterpret_cast<Bytef*>(out.data()));
   deflateEnd(&zs);
   if (rc != Z_STREAM_END) {
     return util::internal("deflate did not finish (rc=" + std::to_string(rc) + ")");
@@ -55,37 +71,60 @@ util::Result<std::string> deflate_raw(std::string_view raw, int level) {
   return out;
 }
 
-/// Raw INFLATE with an output cap.
+/// Raw INFLATE with an output cap, straight into the result. `size_hint`
+/// (the trailer's ISIZE) sizes the first allocation; it is untrusted, so
+/// that allocation never exceeds one byte past the cap (the byte that proves
+/// the cap exceeded) nor DEFLATE's 1032:1 ratio over the body. A short hint
+/// grows the buffer geometrically.
 util::Result<std::string> inflate_raw(std::string_view body,
+                                      std::uint32_t size_hint,
                                       std::uint64_t max_output) {
+  constexpr std::uint64_t kMaxDeflateRatio = 1032;
+  constexpr std::uint64_t kMinGrowth = 64 * 1024;
   z_stream zs{};
   if (inflateInit2(&zs, /*windowBits=*/-15) != Z_OK) {
     return util::internal("inflateInit2 failed");
   }
+  const std::uint64_t limit =
+      max_output < std::numeric_limits<std::size_t>::max() ? max_output + 1
+                                                           : max_output;
   std::string out;
-  std::string chunk(256 * 1024, '\0');
+  out.resize(std::min({std::uint64_t{size_hint}, limit,
+                       std::uint64_t{body.size()} * kMaxDeflateRatio}));
+  std::size_t produced = 0;
   zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(body.data()));
-  zs.avail_in = static_cast<uInt>(body.size());
-  int rc = Z_OK;
-  while (rc != Z_STREAM_END) {
-    zs.next_out = reinterpret_cast<Bytef*>(chunk.data());
-    zs.avail_out = static_cast<uInt>(chunk.size());
-    rc = inflate(&zs, Z_NO_FLUSH);
-    if (rc != Z_OK && rc != Z_STREAM_END) {
+  const Bytef* const in_end = zs.next_in + body.size();
+  for (;;) {
+    if (zs.avail_in == 0) zs.avail_in = zlib_slice(in_end - zs.next_in);
+    zs.next_out = reinterpret_cast<Bytef*>(out.data() + produced);
+    zs.avail_out = zlib_slice(out.size() - produced);
+    const uInt offered = zs.avail_out;
+    const int rc = inflate(&zs, Z_NO_FLUSH);
+    produced += offered - zs.avail_out;
+    if (rc == Z_STREAM_END) break;
+    if (rc != Z_OK && rc != Z_BUF_ERROR) {
       inflateEnd(&zs);
       return util::corrupt("inflate failed (rc=" + std::to_string(rc) + ")");
     }
-    out.append(chunk.data(), chunk.size() - zs.avail_out);
-    if (out.size() > max_output) {
-      inflateEnd(&zs);
-      return util::out_of_range("decompressed size exceeds cap");
-    }
-    if (rc == Z_OK && zs.avail_in == 0 && zs.avail_out != 0) {
-      inflateEnd(&zs);
-      return util::corrupt("truncated deflate stream");
+    if (zs.avail_out != 0) {
+      if (zs.next_in == in_end) {
+        inflateEnd(&zs);
+        return util::corrupt("truncated deflate stream");
+      }
+    } else if (produced == out.size()) {
+      if (out.size() >= limit) {
+        inflateEnd(&zs);
+        return util::out_of_range("decompressed size exceeds cap");
+      }
+      out.resize(std::min(limit, std::max<std::uint64_t>(2 * out.size(),
+                                                         kMinGrowth)));
     }
   }
   inflateEnd(&zs);
+  if (produced > max_output) {
+    return util::out_of_range("decompressed size exceeds cap");
+  }
+  out.resize(produced);
   return out;
 }
 
@@ -162,13 +201,13 @@ util::Result<std::string> gzip_decompress(std::string_view member,
   if (member.size() < header + 8) return util::corrupt("gzip member too short");
   const std::string_view body =
       member.substr(header, member.size() - header - 8);
-  auto raw = inflate_raw(body, max_output);
-  if (!raw.ok()) return raw;
-
   const auto* trailer = reinterpret_cast<const unsigned char*>(
       member.data() + member.size() - 8);
   const std::uint32_t want_crc = get_le32(trailer);
   const std::uint32_t want_isize = get_le32(trailer + 4);
+  auto raw = inflate_raw(body, want_isize, max_output);
+  if (!raw.ok()) return raw;
+
   if (Crc32::of(raw.value()) != want_crc) {
     return util::corrupt("gzip CRC mismatch");
   }

@@ -1,12 +1,20 @@
 #include "dockmine/digest/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "dockmine/digest/sha256_block.h"
+
+#if DOCKMINE_SHA256_HAVE_SHA_NI
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace dockmine::digest {
 
 namespace {
 
-constexpr std::uint32_t kK[64] = {
+alignas(16) constexpr std::uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -23,7 +31,135 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
 }
 
+constexpr std::size_t kBlock = 64;
+
 }  // namespace
+
+namespace detail {
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += kBlock) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if DOCKMINE_SHA256_HAVE_SHA_NI
+
+// Intel's SHA extensions: SHA256RNDS2 runs two rounds on a state split into
+// ABEF/CDGH lanes; SHA256MSG1/MSG2 extend the message schedule four words at
+// a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* data,
+    std::size_t blocks) noexcept {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)),
+                        0xB1);  // CDAB
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)),
+      0x1B);  // EFGH
+  __m128i abef = _mm_alignr_epi8(dcba, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, dcba, 0xF0);
+
+  for (; blocks > 0; --blocks, data += kBlock) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[q % 4] holds schedule words 4q..4q+3.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      if (q < 4) {
+        w[q] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * q)),
+            byte_swap);
+      } else {
+        const __m128i prev = w[(q + 3) & 3];
+        w[q & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[q & 3], w[(q + 1) & 3]),
+                          _mm_alignr_epi8(prev, w[(q + 2) & 3], 4)),
+            prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[q & 3], _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * q)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+bool cpu_has_sha_ni() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return sse && (ebx & bit_SHA) != 0;
+}
+
+BlockKernel active_kernel() noexcept {
+  static const BlockKernel kernel =
+      cpu_has_sha_ni() ? compress_sha_ni : compress_portable;
+  return kernel;
+}
+
+#else
+
+bool cpu_has_sha_ni() noexcept { return false; }
+
+BlockKernel active_kernel() noexcept { return compress_portable; }
+
+#endif
+
+}  // namespace detail
 
 void Sha256::reset() noexcept {
   state_[0] = 0x6a09e667;
@@ -38,67 +174,23 @@ void Sha256::reset() noexcept {
   buffered_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(const void* data, std::size_t size) noexcept {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   total_bytes_ += size;
   if (buffered_ > 0) {
-    const std::size_t take = std::min(size, sizeof buffer_ - buffered_);
+    const std::size_t take = std::min(size, kBlock - buffered_);
     std::memcpy(buffer_ + buffered_, bytes, take);
     buffered_ += take;
     bytes += take;
     size -= take;
-    if (buffered_ == sizeof buffer_) {
-      process_block(buffer_);
-      buffered_ = 0;
-    }
+    if (buffered_ < kBlock) return;
+    detail::active_kernel()(state_, buffer_, 1);
+    buffered_ = 0;
   }
-  while (size >= sizeof buffer_) {
-    process_block(bytes);
-    bytes += sizeof buffer_;
-    size -= sizeof buffer_;
+  if (const std::size_t blocks = size / kBlock; blocks > 0) {
+    detail::active_kernel()(state_, bytes, blocks);
+    bytes += blocks * kBlock;
+    size -= blocks * kBlock;
   }
   if (size > 0) {
     std::memcpy(buffer_, bytes, size);
@@ -107,18 +199,18 @@ void Sha256::update(const void* data, std::size_t size) noexcept {
 }
 
 Sha256::Bytes Sha256::finish() noexcept {
+  // 0x80, zeros up to 56 mod 64, then the message length in bits as a
+  // 64-bit big-endian integer: one block, or two when the buffered tail
+  // leaves fewer than 9 bytes free.
+  std::uint8_t tail[2 * kBlock] = {};
+  std::memcpy(tail, buffer_, buffered_);
+  tail[buffered_] = 0x80;
+  const std::size_t tail_size = buffered_ < kBlock - 8 ? kBlock : 2 * kBlock;
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    tail[tail_size - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total accounting for the trailer by writing directly.
-  std::memcpy(buffer_ + buffered_, len_be, 8);
-  process_block(buffer_);
+  detail::active_kernel()(state_, tail, tail_size / kBlock);
   buffered_ = 0;
   Bytes out;
   for (int i = 0; i < 8; ++i) {

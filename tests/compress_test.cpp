@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <tuple>
 
@@ -7,6 +11,38 @@
 #include "dockmine/compress/crc32.h"
 #include "dockmine/compress/gzip.h"
 #include "dockmine/util/rng.h"
+
+// The largest single operator-new request since it was last zeroed: the
+// hostile-trailer cases check that a lying ISIZE cannot size an allocation.
+namespace {
+std::atomic<std::size_t> g_largest_new{0};
+
+void* tracked_malloc(std::size_t size) noexcept {
+  std::size_t seen = g_largest_new.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_new.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  return std::malloc(size != 0 ? size : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = tracked_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return tracked_malloc(size);
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// operator-new call site and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace dockmine::compress {
 namespace {
@@ -25,6 +61,57 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   crc.update("The quick brown fox ");
   crc.update("jumps over the lazy dog");
   EXPECT_EQ(crc.value(), 0x414fa339u);
+}
+
+/// The byte-at-a-time, table-driven CRC-32 `Crc32` computed before it
+/// delegated to zlib: the oracle for the zlib-backed one.
+std::uint32_t reference_crc32(std::string_view data) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xffffffffu;
+  for (unsigned char byte : data) c = table[(c ^ byte) & 0xff] ^ (c >> 8);
+  return ~c;
+}
+
+TEST(Crc32Test, MatchesTableDrivenReferenceAtEverySplit) {
+  util::Rng rng(0xC3C32);
+  for (std::size_t len : {0u, 1u, 3u, 7u, 8u, 15u, 16u, 31u, 32u, 63u, 64u,
+                          65u, 255u, 256u, 1000u, 4096u, 65537u}) {
+    std::string buf;
+    append_random(buf, len, rng);
+    const std::uint32_t want = reference_crc32(buf);
+    EXPECT_EQ(Crc32::of(buf), want) << "len=" << len;
+    const std::size_t step = len <= 1000 ? 1 : 97;
+    for (std::size_t split = 0; split <= len; split += step) {
+      Crc32 crc;
+      crc.update(std::string_view(buf).substr(0, split));
+      crc.update(std::string_view(buf).substr(split));
+      ASSERT_EQ(crc.value(), want) << "len=" << len << " split=" << split;
+    }
+  }
+  std::string large;
+  append_random(large, 8 << 20, rng);
+  EXPECT_EQ(Crc32::of(large), reference_crc32(large));
+}
+
+TEST(Crc32Test, EmptyUpdateKeepsValueAndResetRestarts) {
+  Crc32 crc;
+  crc.update("12345");
+  crc.update(std::string_view());  // null data, zero length
+  crc.update(nullptr, 0);
+  crc.update("6789");
+  EXPECT_EQ(crc.value(), 0xcbf43926u);
+  crc.reset();
+  EXPECT_EQ(crc.value(), 0u);
+  crc.update("123456789");
+  EXPECT_EQ(crc.value(), 0xcbf43926u);
 }
 
 // ---------- gzip ----------
@@ -96,6 +183,84 @@ TEST(GzipTest, EnforcesOutputCap) {
   auto back = gzip_decompress(member.value(), /*max_output=*/1024);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.error().code(), util::ErrorCode::kOutOfRange);
+}
+
+// ---------- hostile trailers ----------
+
+/// `member` with its trailer's ISIZE replaced.
+std::string with_isize(std::string member, std::uint32_t isize) {
+  for (int i = 0; i < 4; ++i) {
+    member[member.size() - 4 + i] = static_cast<char>(isize >> (8 * i));
+  }
+  return member;
+}
+
+std::string layer_like(std::size_t size) {
+  util::Rng rng(0x15D5);
+  return generate(size, 3.0, rng);
+}
+
+TEST(GzipTest, UnderReportedIsizeGrowsThenFailsTheIsizeCheck) {
+  const std::string raw = layer_like(1 << 20);
+  const std::string member = gzip_compress(raw).value();
+  for (std::uint32_t isize : {0u, 10u, (1u << 20) - 1}) {
+    auto back = gzip_decompress(with_isize(member, isize));
+    ASSERT_FALSE(back.ok()) << isize;
+    EXPECT_EQ(back.error().code(), util::ErrorCode::kCorrupt);
+    // Reaching the ISIZE check means the whole body inflated: the buffer
+    // sized from the short hint grew to the real size.
+    EXPECT_EQ(back.error().message(), "gzip ISIZE mismatch") << isize;
+  }
+}
+
+TEST(GzipTest, OverReportedIsizeFailsTheIsizeCheck) {
+  const std::string raw = layer_like(100000);
+  const std::string member = gzip_compress(raw).value();
+  auto back = gzip_decompress(with_isize(member, 100000 + 4096));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), util::ErrorCode::kCorrupt);
+  EXPECT_EQ(back.error().message(), "gzip ISIZE mismatch");
+}
+
+TEST(GzipTest, MaxIsizeOnATinyBodyAllocatesNoMoreThanDeflateAllows) {
+  const std::string member = gzip_compress("abc").value();
+  const std::size_t body = member.size() - 18;
+  g_largest_new.store(0);
+  auto back = gzip_decompress(with_isize(member, 0xFFFFFFFFu));
+  const std::size_t largest = g_largest_new.load();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), util::ErrorCode::kCorrupt);
+  EXPECT_EQ(back.error().message(), "gzip ISIZE mismatch");
+  EXPECT_LE(largest, body * 1032 + 1) << "body " << body << " bytes";
+}
+
+TEST(GzipTest, OutputCapHoldsWhateverTheTrailerClaims) {
+  const std::string raw(1 << 20, '\0');
+  const std::string member = gzip_compress(raw).value();
+  for (std::uint32_t isize : {0u, 1024u, 1u << 20, 0xFFFFFFFFu}) {
+    g_largest_new.store(0);
+    auto back = gzip_decompress(with_isize(member, isize), /*max_output=*/1024);
+    const std::size_t largest = g_largest_new.load();
+    ASSERT_FALSE(back.ok()) << isize;
+    EXPECT_EQ(back.error().code(), util::ErrorCode::kOutOfRange) << isize;
+    EXPECT_LE(largest, 1025u + 4096u) << isize;  // cap + 1, plus bookkeeping
+  }
+  // Exactly at the cap is allowed; one byte over is not.
+  EXPECT_TRUE(gzip_decompress(member, raw.size()).ok());
+  EXPECT_EQ(gzip_decompress(member, raw.size() - 1).error().code(),
+            util::ErrorCode::kOutOfRange);
+}
+
+TEST(GzipTest, TruncatedBodyWithIntactTrailerIsCorrupt) {
+  const std::string raw = layer_like(256 * 1024);
+  const std::string member = gzip_compress(raw).value();
+  const std::string trailer = member.substr(member.size() - 8);
+  for (std::size_t keep : {std::size_t{1}, (member.size() - 18) / 2,
+                           member.size() - 19}) {
+    auto back = gzip_decompress(member.substr(0, 10 + keep) + trailer);
+    ASSERT_FALSE(back.ok()) << keep;
+    EXPECT_EQ(back.error().code(), util::ErrorCode::kCorrupt) << keep;
+  }
 }
 
 TEST(GzipTest, ProbeParsesOptionalHeaderFields) {
