@@ -1,11 +1,15 @@
 // Ablation: dedup index data structure — the open-addressing FlatMap64
 // behind FileDedupIndex vs std::unordered_map (google-benchmark). At paper
 // scale the index holds ~169M entries, so constant factors matter.
+// BM_ShardStoreInsertFreeze times the sharded index's per-(writer, shard)
+// store: upsert a stream, then freeze it to a sorted run.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <unordered_map>
 
 #include "dockmine/dedup/file_dedup.h"
+#include "dockmine/shard/store.h"
 #include "dockmine/util/flat_map.h"
 #include "dockmine/util/rng.h"
 
@@ -63,6 +67,47 @@ void BM_FileDedupIndexAdd(benchmark::State& state) {
                           static_cast<std::int64_t>(keys.size()));
 }
 BENCHMARK(BM_FileDedupIndexAdd);
+
+void BM_ShardStoreInsertFreeze(benchmark::State& state) {
+  // 300k observations, ~25% of them repeats of an earlier key so the merge
+  // path runs like real dedup traffic.
+  constexpr std::size_t kObservations = 300000;
+  util::Rng rng(0xC0FFEE);
+  std::vector<std::uint64_t> keys(kObservations);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = (i > 0 && rng.uniform01() < 0.25) ? keys[rng.uniform(i)]
+                                                : rng() | 1;
+  }
+  dedup::ContentEntry observation;
+  observation.count = 1;
+  observation.size = 4096;
+  observation.type = filetype::Type::kAsciiText;
+
+  using Clock = std::chrono::steady_clock;
+  double insert_ms = 0.0, freeze_ms = 0.0;
+  std::size_t distinct = 0;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    shard::ShardStore store(1 << 12);
+    for (std::uint64_t key : keys) store.merge(key, observation);
+    const auto t1 = Clock::now();
+    std::vector<shard::RunEntry> entries;
+    store.collect_sorted(entries);
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(entries.data());
+    insert_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+    freeze_ms += std::chrono::duration<double, std::milli>(t2 - t1).count();
+    distinct = entries.size();
+  }
+  state.counters["insert_ms"] =
+      benchmark::Counter(insert_ms, benchmark::Counter::kAvgIterations);
+  state.counters["freeze_ms"] =
+      benchmark::Counter(freeze_ms, benchmark::Counter::kAvgIterations);
+  state.counters["distinct"] = static_cast<double>(distinct);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_ShardStoreInsertFreeze)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -12,14 +12,12 @@
 #include <map>
 
 #include "common.h"
-#include "dockmine/art/art.h"
 #include "dockmine/core/pipeline.h"
 #include "dockmine/json/json.h"
 #include "dockmine/mem/arena.h"
 #include "dockmine/obs/critical_path.h"
 #include "dockmine/obs/journal.h"
 #include "dockmine/obs/trace_export.h"
-#include "dockmine/shard/store.h"
 #include "dockmine/tar/reader.h"
 #include "dockmine/tar/writer.h"
 #include "dockmine/util/rng.h"
@@ -152,12 +150,12 @@ int main(int argc, char** argv) {
 
   std::cout << "end-to-end pipeline at " << options.scale.repositories
             << " repositories (DOCKMINE_REPOS overrides)\n";
-  // --- hot-path memory: arena tar walk + ART content index -----------------
-  // Two microbenches over the structures this pipeline hammers per layer:
-  // the analyzer's tar walk / directory profile (legacy heap idiom vs the
-  // per-layer arena path) and the sharded dedup store (sorted-map freeze vs
-  // the ART whose in-order walk needs no sort). The walk speedup is
-  // reported, not gated: it moved between 1.2x and 1.8x run to run.
+  // --- hot-path memory: arena tar walk -------------------------------------
+  // A microbench over the structure this pipeline hammers per layer: the
+  // analyzer's tar walk / directory profile (legacy heap idiom vs the
+  // per-layer arena path). The shard store's insert + freeze is timed by
+  // bench_abl_dedup_index. The walk speedup is reported, not gated: it moved
+  // between 1.2x and 1.8x run to run.
   double legacy_fps = 0.0, arena_fps = 0.0;
   std::uint64_t walk_files = 0, walk_dirs = 0, arena_high_water = 0;
   {
@@ -234,149 +232,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(walk_files),
       static_cast<unsigned long long>(walk_dirs), legacy_fps, arena_fps,
       walk_speedup, static_cast<unsigned long long>(arena_high_water));
-
-  // Sorted-map vs ART shard store: same observation stream, measure the
-  // upsert phase and the freeze (collect_sorted) phase. The ART drain is a
-  // linear in-order walk — no sort — which is the design point that deleted
-  // std::sort from the spill path.
-  constexpr std::size_t kIndexKeys = 300000;
-  double map_insert_ms = 0.0, map_drain_ms = 0.0;
-  double art_insert_ms = 0.0, art_drain_ms = 0.0;
-  art::Stats art_census;
-  double art_bytes_per_key = 0.0;
-  {
-    util::Rng rng(0xC0FFEE);
-    std::vector<std::uint64_t> keys(kIndexKeys);
-    // ~25% repeated keys exercise the merge path like real dedup traffic.
-    for (auto& key : keys) {
-      key = (rng.uniform01() < 0.25 && &key != keys.data())
-                ? keys[rng.uniform(static_cast<std::uint64_t>(
-                      &key - keys.data()))]
-                : rng() | 1;
-    }
-    dedup::ContentEntry observation;
-    observation.count = 1;
-    observation.size = 4096;
-    observation.type = filetype::Type::kAsciiText;
-
-    auto drive = [&](shard::IndexBackend backend, double& insert_ms,
-                     double& drain_ms) {
-      shard::ShardStore store(backend, 1 << 12);
-      util::Stopwatch insert_clock;
-      for (std::uint64_t key : keys) store.merge(key, observation);
-      insert_ms = insert_clock.seconds() * 1000.0;
-      std::vector<shard::RunEntry> entries;
-      util::Stopwatch drain_clock;
-      store.collect_sorted(entries);
-      drain_ms = drain_clock.seconds() * 1000.0;
-      if (backend == shard::IndexBackend::kArt) {
-        art_census = store.art_stats();
-        art_bytes_per_key =
-            static_cast<double>(store.memory_bytes()) /
-            static_cast<double>(store.size());
-      }
-      return entries.size();
-    };
-    const std::size_t map_entries =
-        drive(shard::IndexBackend::kMap, map_insert_ms, map_drain_ms);
-    const std::size_t art_entries =
-        drive(shard::IndexBackend::kArt, art_insert_ms, art_drain_ms);
-    if (map_entries != art_entries) {
-      std::fprintf(stderr, "index mismatch: map %zu vs art %zu entries\n",
-                   map_entries, art_entries);
-      return 1;
-    }
-    std::printf(
-        "\n  shard content index (%zu observations, %zu distinct):\n"
-        "    map   insert %8.1f ms   freeze %8.1f ms  (collect + std::sort)\n"
-        "    art   insert %8.1f ms   freeze %8.1f ms  (in-order walk, no"
-        " sort)\n"
-        "    art census: %llu n4 / %llu n16 / %llu n48 / %llu n256 nodes,"
-        " %.0f bytes/key\n",
-        keys.size(), map_entries, map_insert_ms, map_drain_ms, art_insert_ms,
-        art_drain_ms, static_cast<unsigned long long>(art_census.node4),
-        static_cast<unsigned long long>(art_census.node16),
-        static_cast<unsigned long long>(art_census.node48),
-        static_cast<unsigned long long>(art_census.node256),
-        art_bytes_per_key);
-  }
-
-  // Node16 key probe: the inner-loop byte search of every ART descent,
-  // scalar linear scan vs the branchless SSE2 compare+movemask used by
-  // Node::child. Same probe stream through both; the checksums must agree
-  // (the art_test differential pins correctness, this pins the price).
-  double probe_scalar_ms = 0.0, probe_simd_ms = 0.0;
-  {
-    constexpr std::size_t kProbeNodes = 4096;
-    constexpr std::size_t kProbesPerNode = 64;
-    constexpr int kProbeWarmup = 2;
-    constexpr int kProbeReps = 12;
-    struct ProbeNode {
-      std::uint8_t keys[16];
-      std::uint16_t count;
-    };
-    util::Rng rng(0xA27B5);
-    std::vector<ProbeNode> nodes(kProbeNodes);
-    std::vector<std::uint8_t> probes(kProbeNodes * kProbesPerNode);
-    for (auto& node : nodes) {
-      node.count = static_cast<std::uint16_t>(5 + rng.uniform(12));  // 5..16
-      for (std::size_t k = 0; k < 16; ++k) {
-        node.keys[k] = static_cast<std::uint8_t>(rng());
-      }
-    }
-    // ~half the probes hit a stored key, half miss — real descents see both.
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      const ProbeNode& node = nodes[i % kProbeNodes];
-      probes[i] = (i & 1) ? node.keys[rng.uniform(node.count)]
-                          : static_cast<std::uint8_t>(rng());
-    }
-    auto sweep = [&](auto&& find) {
-      std::int64_t checksum = 0;
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        const ProbeNode& node = nodes[i % kProbeNodes];
-        checksum += find(node.keys, node.count, probes[i]);
-      }
-      return checksum;
-    };
-    auto time_best = [&](auto&& find, std::int64_t& checksum) {
-      for (int w = 0; w < kProbeWarmup; ++w) checksum = sweep(find);
-      double best_ms = 0.0;
-      for (int rep = 0; rep < kProbeReps; ++rep) {
-        util::Stopwatch probe_clock;
-        checksum = sweep(find);
-        const double ms = probe_clock.seconds() * 1000.0;
-        if (rep == 0 || ms < best_ms) best_ms = ms;
-      }
-      return best_ms;
-    };
-    std::int64_t scalar_sum = 0, simd_sum = 0;
-    probe_scalar_ms = time_best(
-        [](const std::uint8_t* keys, std::uint16_t count, std::uint8_t byte) {
-          return art::detail::find_key_scalar(keys, count, byte);
-        },
-        scalar_sum);
-    probe_simd_ms = time_best(
-        [](const std::uint8_t* keys, std::uint16_t count, std::uint8_t byte) {
-          return art::detail::find_key(keys, count, byte);
-        },
-        simd_sum);
-    if (scalar_sum != simd_sum) {
-      std::fprintf(stderr, "node16 probe mismatch: scalar %lld vs simd %lld\n",
-                   static_cast<long long>(scalar_sum),
-                   static_cast<long long>(simd_sum));
-      return 1;
-    }
-    std::printf(
-        "\n  art node16 probe (%zu probes, best of %d):\n"
-        "    scalar %8.3f ms   simd %8.3f ms   speedup %.2fx%s\n",
-        probes.size(), kProbeReps, probe_scalar_ms, probe_simd_ms,
-        probe_simd_ms > 0.0 ? probe_scalar_ms / probe_simd_ms : 0.0,
-#if defined(__SSE2__)
-        "");
-#else
-        "  (no SSE2: simd path is the scalar fallback)");
-#endif
-  }
 
   util::Stopwatch clock;
   auto run = core::run_end_to_end(options);
@@ -631,30 +486,6 @@ int main(int argc, char** argv) {
     walk.set("speedup", walk_speedup);
     walk.set("arena_high_water_bytes", arena_high_water);
     hotpath.set("walk", std::move(walk));
-    auto index = json::Value::object();
-    index.set("observations", static_cast<std::uint64_t>(kIndexKeys));
-    index.set("map_insert_ms", map_insert_ms);
-    index.set("map_freeze_ms", map_drain_ms);
-    index.set("art_insert_ms", art_insert_ms);
-    index.set("art_freeze_ms", art_drain_ms);
-    auto census = json::Value::object();
-    census.set("node4", art_census.node4);
-    census.set("node16", art_census.node16);
-    census.set("node48", art_census.node48);
-    census.set("node256", art_census.node256);
-    census.set("keys", art_census.values);
-    index.set("art_census", std::move(census));
-    index.set("art_bytes_per_key", art_bytes_per_key);
-    index.set("node16_probe_scalar_ms", probe_scalar_ms);
-    index.set("node16_probe_simd_ms", probe_simd_ms);
-    index.set("node16_probe_speedup",
-              probe_simd_ms > 0.0 ? probe_scalar_ms / probe_simd_ms : 0.0);
-#if defined(__SSE2__)
-    index.set("node16_probe_simd_enabled", true);
-#else
-    index.set("node16_probe_simd_enabled", false);
-#endif
-    hotpath.set("index", std::move(index));
     doc.set("hotpath", std::move(hotpath));
 
     const char* json_path = std::getenv("DOCKMINE_BENCH_JSON");

@@ -79,9 +79,8 @@ void AnalysisPipeline::Session::analyze(const digest::Digest& digest,
   };
   LayerAnalyzer::Timing timing;
   const double start_ms = timed_ ? obs::now_ms() : 0.0;
-  const bool want_files = sink_.on_file || sink_.on_file_concurrent;
   auto profile = analyzer_.analyze_blob(
-      gzip_blob, want_files ? &visitor : nullptr,
+      gzip_blob, sink_.on_layer_files ? &visitor : nullptr,
       /*dir_visitor=*/nullptr, timed_ ? &timing : nullptr, &scratch);
   if (timed_) {
     const double total_ms = obs::now_ms() - start_ms;
@@ -113,19 +112,10 @@ void AnalysisPipeline::Session::analyze(const digest::Digest& digest,
     store_.put(profile.value());
     analyzed_.fetch_add(1, std::memory_order_relaxed);
     if (sink_.on_layer) sink_.on_layer(profile.value());
-    if (sink_.on_file) {
-      for (const FileRecord& record : batch) {
-        sink_.on_file(profile.value().digest, record);
-      }
-    }
   }
   // The delivery race is settled (this thread won it), so concurrent file
   // delivery outside the mutex is still exactly-once per unique layer.
-  if (sink_.on_file_concurrent) {
-    for (const FileRecord& record : batch) {
-      sink_.on_file_concurrent(profile.value().digest, record);
-    }
-  }
+  if (sink_.on_layer_files) sink_.on_layer_files(profile.value().digest, batch);
 }
 
 void AnalysisPipeline::Session::reserve_layers(std::size_t layers) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,22 +35,20 @@ class AnalysisPipeline {
     LayerAnalyzer::Options analyzer;
   };
 
-  /// Consumer callbacks. Except for on_file_concurrent, all are invoked
+  /// Consumer callbacks. Except for on_layer_files, all are invoked
   /// under an internal mutex (thread safe to use plain accumulators); any
   /// may be null.
   struct Sink {
     std::function<void(const LayerProfile&)> on_layer;  ///< per unique layer
+    /// Every file of one unique layer at once, invoked OUTSIDE the session
+    /// mutex — from whichever worker thread won the layer's delivery race,
+    /// after the race is decided (still exactly once per unique layer). The
+    /// callback must be safe to run from many threads at once; the sharded
+    /// dedup index takes it through per-thread writers, lock-free.
+    /// `records` is only valid for the duration of the call.
     std::function<void(const digest::Digest& layer_digest,
-                       const FileRecord& record)>
-        on_file;                                        ///< per file
-    /// Per file, like on_file, but invoked OUTSIDE the session mutex — from
-    /// whichever worker thread won the layer's delivery race, after the
-    /// race is decided (still exactly once per unique layer). The callback
-    /// must be safe to run from many threads at once; sharded dedup routing
-    /// uses this to keep the streamed hot path lock-free.
-    std::function<void(const digest::Digest& layer_digest,
-                       const FileRecord& record)>
-        on_file_concurrent;
+                       std::span<const FileRecord> records)>
+        on_layer_files;
     std::function<void(const ImageProfile&)> on_image;
   };
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -92,10 +95,68 @@ util::Status execute_staged(const PipelineOptions& options,
   return util::Status::success();
 }
 
+/// Holds each analyzed layer's file records until a delivered manifest
+/// references the layer. The streamed downloader hands a layer to the
+/// analyzers before it knows whether the layer's image succeeds; without
+/// the hold, the files of an image that later fails would reach the dedup
+/// index while the images, layers and sharing sections leave that image
+/// out. Records no delivered manifest ever references die with the gate,
+/// so what it holds at any time is the files of layers whose images are
+/// still in flight or have failed.
+class DeliveredLayerGate {
+ public:
+  using Route = std::function<void(const digest::Digest&,
+                                   std::span<const analyzer::FileRecord>)>;
+
+  explicit DeliveredLayerGate(Route route) : route_(std::move(route)) {}
+
+  /// Analyzer side: route `records` now if a delivered manifest already
+  /// references `layer`, else hold a copy.
+  void offer(const digest::Digest& layer,
+             std::span<const analyzer::FileRecord> records) {
+    {
+      std::lock_guard lock(mutex_);
+      if (!delivered_.contains(layer)) {
+        held_.emplace(layer, std::vector<analyzer::FileRecord>(
+                                 records.begin(), records.end()));
+        return;
+      }
+    }
+    route_(layer, records);
+  }
+
+  /// Image side: mark `manifest`'s layers delivered and route whatever was
+  /// held for them.
+  void deliver(const registry::Manifest& manifest) {
+    std::vector<std::pair<digest::Digest, std::vector<analyzer::FileRecord>>>
+        ready;
+    {
+      std::lock_guard lock(mutex_);
+      for (const auto& ref : manifest.layers) {
+        if (!delivered_.insert(ref.digest).second) continue;
+        if (auto held = held_.extract(ref.digest)) {
+          ready.emplace_back(held.key(), std::move(held.mapped()));
+        }
+      }
+    }
+    for (const auto& [layer, records] : ready) route_(layer, records);
+  }
+
+ private:
+  const Route route_;
+  std::mutex mutex_;
+  std::unordered_set<digest::Digest, digest::DigestHash> delivered_;
+  std::unordered_map<digest::Digest, std::vector<analyzer::FileRecord>,
+                     digest::DigestHash>
+      held_;
+};
+
 /// Streamed execution: downloader workers push verified blobs into a
 /// bounded queue, analyzer workers drain it concurrently. The downloader
 /// runs with retain_blobs off, so the queue (not a run-wide cache) is the
-/// only place blob bytes live between the stages.
+/// only place blob bytes live between the stages. File records pass
+/// through a DeliveredLayerGate, so only delivered images reach the dedup
+/// index, exactly as in staged execution.
 util::Status execute_streamed(const PipelineOptions& options,
                               registry::Source& source,
                               std::size_t download_workers,
@@ -108,8 +169,18 @@ util::Status execute_streamed(const PipelineOptions& options,
   // under "pipeline/stream/...".
   const auto span = tracer.span("stream");
 
+  std::optional<DeliveredLayerGate> gate;
+  analyzer::AnalysisPipeline::Sink gated = sink;
+  if (sink.on_layer_files) {
+    gate.emplace(sink.on_layer_files);
+    gated.on_layer_files = [&gate](
+                               const digest::Digest& layer,
+                               std::span<const analyzer::FileRecord> records) {
+      gate->offer(layer, records);
+    };
+  }
   analyzer::AnalysisPipeline analysis;
-  analyzer::AnalysisPipeline::Session session(analysis, sink);
+  analyzer::AnalysisPipeline::Session session(analysis, gated);
 
   struct Item {
     digest::Digest digest;
@@ -193,6 +264,7 @@ util::Status execute_streamed(const PipelineOptions& options,
 
   result.download = downloader.run(
       result.crawl.repositories, [&](downloader::DownloadedImage&& image) {
+        if (gate) gate->deliver(image.manifest);
         result.manifests.push_back(std::move(image.manifest));
       });
   queue.close();
@@ -213,6 +285,24 @@ util::Status execute_streamed(const PipelineOptions& options,
 }
 
 }  // namespace
+
+const char* execution_mode_name(ExecutionMode mode) noexcept {
+  switch (mode) {
+    case ExecutionMode::kSerial: return "serial";
+    case ExecutionMode::kStaged: return "staged";
+    case ExecutionMode::kStreamed: return "streamed";
+  }
+  return "staged";
+}
+
+std::optional<ExecutionMode> parse_execution_mode(
+    std::string_view name) noexcept {
+  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kStaged,
+                             ExecutionMode::kStreamed}) {
+    if (name == execution_mode_name(mode)) return mode;
+  }
+  return std::nullopt;
+}
 
 util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   PipelineResult result;
@@ -302,34 +392,41 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
     result.file_index = std::make_unique<dedup::FileDedupIndex>(1 << 16);
   }
   std::unordered_map<std::uint64_t, std::uint32_t> layer_dense;
+  std::mutex file_index_mutex;
 
   analyzer::AnalysisPipeline::Sink sink;
   if (result.file_index) {
-    sink.on_file = [&](const digest::Digest& layer_digest,
-                       const analyzer::FileRecord& record) {
+    sink.on_layer_files = [&](const digest::Digest& layer_digest,
+                              std::span<const analyzer::FileRecord> records) {
+      std::lock_guard lock(file_index_mutex);
       auto [it, inserted] = layer_dense.emplace(
           layer_digest.key64(),
           static_cast<std::uint32_t>(layer_dense.size()));
-      result.file_index->add(record.digest, record.size, record.type,
-                             it->second);
+      for (const analyzer::FileRecord& record : records) {
+        result.file_index->add(record.digest, record.size, record.type,
+                               it->second);
+      }
     };
   } else if (sharded) {
-    // Lock-free routing: delivered outside the session mutex, each worker
-    // thread appends to its own per-shard maps. The layer id is derived
-    // from the layer digest (not a shared dense-id map, which would need a
-    // lock); it only feeds first_layer/multi_layer, which the canonical
-    // report deliberately excludes.
+    // Lock-free routing: each delivering thread appends to its own
+    // per-shard maps. The layer id is derived from the layer digest (not a
+    // shared dense-id map, which would need a lock); it only feeds
+    // first_layer/multi_layer, which the canonical report deliberately
+    // excludes.
     const bool filter_by_owner = node_count > 1;
-    sink.on_file_concurrent = [&, filter_by_owner](
-                                  const digest::Digest& layer_digest,
-                                  const analyzer::FileRecord& record) {
+    sink.on_layer_files = [&, filter_by_owner](
+                              const digest::Digest& layer_digest,
+                              std::span<const analyzer::FileRecord> records) {
       if (filter_by_owner) {
         auto it = layer_owner.find(layer_digest.key64());
         if (it == layer_owner.end() || it->second != options.node_index) return;
       }
-      sharded->local_writer().add(
-          record.digest, record.size, record.type,
-          static_cast<std::uint32_t>(layer_digest.key64() >> 32));
+      auto& writer = sharded->local_writer();
+      const auto layer_id =
+          static_cast<std::uint32_t>(layer_digest.key64() >> 32);
+      for (const analyzer::FileRecord& record : records) {
+        writer.add(record.digest, record.size, record.type, layer_id);
+      }
     };
   }
   sink.on_image = [&](const analyzer::ImageProfile& profile) {

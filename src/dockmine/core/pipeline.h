@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dockmine/analyzer/image_analyzer.h"
@@ -57,6 +58,12 @@ enum class ExecutionMode {
   kStaged,    ///< parallel stages separated by barriers
   kStreamed,  ///< download and analysis overlapped through a bounded queue
 };
+
+/// "serial", "staged" or "streamed": the spelling the CLI's --mode and the
+/// lease wire format share.
+const char* execution_mode_name(ExecutionMode mode) noexcept;
+/// Inverse of execution_mode_name; nullopt for any other spelling.
+std::optional<ExecutionMode> parse_execution_mode(std::string_view name) noexcept;
 
 struct PipelineOptions {
   synth::Scale scale = synth::Scale::test();

@@ -161,9 +161,7 @@ json::Value job_spec_to_json(const JobSpec& spec) {
   doc.set("gzip_level", std::int64_t{spec.gzip_level});
   doc.set("download_workers", std::uint64_t{spec.download_workers});
   doc.set("analyze_workers", std::uint64_t{spec.analyze_workers});
-  doc.set("mode", spec.mode == ExecutionMode::kSerial     ? "serial"
-                  : spec.mode == ExecutionMode::kStreamed ? "streamed"
-                                                          : "staged");
+  doc.set("mode", execution_mode_name(spec.mode));
   doc.set("shards", std::uint64_t{spec.shards});
   doc.set("spill_threshold_bytes", spec.spill_threshold_bytes);
   return doc;
@@ -191,16 +189,9 @@ util::Result<JobSpec> job_spec_from_json(const json::Value& doc) {
       workers > 256)
     return util::corrupt("wire: job spec analyze_workers out of range");
   spec.analyze_workers = static_cast<std::size_t>(workers);
-  const std::string& mode = doc["mode"].as_string();
-  if (mode == "serial") {
-    spec.mode = ExecutionMode::kSerial;
-  } else if (mode == "staged") {
-    spec.mode = ExecutionMode::kStaged;
-  } else if (mode == "streamed") {
-    spec.mode = ExecutionMode::kStreamed;
-  } else {
-    return util::corrupt("wire: job spec mode unrecognized");
-  }
+  const auto mode = parse_execution_mode(doc["mode"].as_string());
+  if (!mode) return util::corrupt("wire: job spec mode unrecognized");
+  spec.mode = *mode;
   if (!require_uint(doc, "shards", shards) || shards == 0 || shards > 4096)
     return util::corrupt("wire: job spec shards out of range");
   spec.shards = static_cast<std::uint32_t>(shards);

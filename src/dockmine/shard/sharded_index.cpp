@@ -34,13 +34,12 @@ ShardedDedupIndex::ShardedDedupIndex(Config config)
   shift_ = config_.shards == 1 ? 64u : 64u - log2_of(config_.shards);
   if (config_.expected_contents_per_shard == 0)
     config_.expected_contents_per_shard = 64;
-  config_.backend = resolve_backend(config_.backend);
 
-  // Spilling below ~2x an empty store's baseline would freeze near-empty
-  // runs on every add. Lift the effective threshold to keep each run worth
-  // its header.
-  const ShardStore probe(config_.backend, config_.expected_contents_per_shard);
-  spill_floor_ = probe.spill_floor();
+  // Spilling below ~2x an empty store's table would freeze near-empty runs
+  // on every add. Lift the effective threshold to keep each run worth its
+  // header.
+  spill_floor_ =
+      2 * ShardStore(config_.expected_contents_per_shard).memory_bytes();
 
   if (config_.spill_enabled()) {
     std::error_code ec;
@@ -64,12 +63,6 @@ ShardedDedupIndex::ShardedDedupIndex(Config config)
         &registry.gauge("dockmine_shard_occupancy_bytes{shard=\"" +
                         std::to_string(s) + "\"}"));
   }
-  for (std::size_t i = 0; i < art_node_gauges_.size(); ++i) {
-    static constexpr const char* kKinds[] = {"4", "16", "48", "256"};
-    art_node_gauges_[i] = &registry.gauge(
-        std::string("dockmine_art_nodes{kind=\"") + kKinds[i] + "\"}");
-  }
-  art_keys_gauge_ = &registry.gauge("dockmine_art_keys");
   resident_gauge_ = &registry.gauge("dockmine_shard_resident_bytes");
   peak_gauge_ = &registry.gauge("dockmine_shard_resident_peak_bytes");
   spill_counter_ = &registry.counter("dockmine_shard_spills_total");
@@ -83,8 +76,7 @@ ShardedDedupIndex::Writer::Writer(ShardedDedupIndex* owner) : owner_(owner) {
   const std::uint32_t shards = owner_->config_.shards;
   stores_.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
-    stores_.emplace_back(owner_->config_.backend,
-                         owner_->config_.expected_contents_per_shard);
+    stores_.emplace_back(owner_->config_.expected_contents_per_shard);
   }
   tracked_bytes_.assign(shards, 0);
   for (std::uint32_t s = 0; s < shards; ++s) track(s);
@@ -216,7 +208,6 @@ util::Status ShardedDedupIndex::seal_into(ShardMerger& merger) {
     if (has_spill_error_) return spill_error_;
   }
   std::lock_guard<std::mutex> lock(writers_mutex_);
-  publish_art_census_locked();
   for (const auto& writer : writers_) {
     for (std::uint32_t s = 0; s < config_.shards; ++s) {
       const ShardStore& store = writer->stores_[s];
@@ -235,7 +226,6 @@ util::Status ShardedDedupIndex::seal_into(ShardMerger& merger) {
 
 util::Status ShardedDedupIndex::flush_residents_to(const std::string& dir) {
   std::lock_guard<std::mutex> lock(writers_mutex_);
-  publish_art_census_locked();
   for (const auto& writer : writers_) {
     for (std::uint32_t s = 0; s < config_.shards; ++s) {
       if (writer->stores_[s].empty()) continue;
@@ -314,31 +304,6 @@ std::uint64_t ShardedDedupIndex::observations() const {
   std::uint64_t total = 0;
   for (const auto& writer : writers_) total += writer->observations_;
   return total;
-}
-
-art::Stats ShardedDedupIndex::art_stats() const {
-  std::lock_guard<std::mutex> lock(writers_mutex_);
-  art::Stats total;
-  for (const auto& writer : writers_) {
-    for (const ShardStore& store : writer->stores_) {
-      total += store.art_stats();
-    }
-  }
-  return total;
-}
-
-void ShardedDedupIndex::publish_art_census_locked() {
-  art::Stats total;
-  for (const auto& writer : writers_) {
-    for (const ShardStore& store : writer->stores_) {
-      total += store.art_stats();
-    }
-  }
-  art_node_gauges_[0]->set(static_cast<std::int64_t>(total.node4));
-  art_node_gauges_[1]->set(static_cast<std::int64_t>(total.node16));
-  art_node_gauges_[2]->set(static_cast<std::int64_t>(total.node48));
-  art_node_gauges_[3]->set(static_cast<std::int64_t>(total.node256));
-  art_keys_gauge_->set(static_cast<std::int64_t>(total.values));
 }
 
 }  // namespace dockmine::shard

@@ -3,28 +3,26 @@
 //
 // Content keys route to one of N shards by their top log2(N) bits. Each
 // producer thread owns a private Writer holding one small ShardStore per
-// shard (FlatMap64 or ART, see store.h), so concurrent routing in the
+// shard (a FlatMap64, see store.h), so concurrent routing in the
 // streamed pipeline is lock-free: a writer never shares a store with
 // another thread, and the only cross-thread traffic is relaxed occupancy
 // accounting. When a writer's store for some shard grows past the spill
 // threshold, the store is frozen to a sorted, checksummed run file
 // (run_format.h) and reset — bounding resident memory per (writer, shard)
 // regardless of how many distinct contents flow through. Run entries leave
-// the store already in ascending key order (the store's contract); this
-// file contains no sort. seal_into() hands every resident store and every
-// spilled run to a ShardMerger, whose commutative/associative fold
-// reconstructs the exact monolithic aggregates; export_shard_set() instead
-// freezes everything to a manifest-described directory another process or
-// node can merge later.
+// the store already in ascending key order (the store's contract: its
+// collect_sorted() sorts, so the spill and seal paths here do not).
+// seal_into() hands every resident store and every spilled run to a
+// ShardMerger, whose commutative/associative fold reconstructs the exact
+// monolithic aggregates; export_shard_set() instead freezes everything to a
+// manifest-described directory another process or node can merge later.
 //
 // Observability (off by default, like all obs instruments):
 //   dockmine_shard_occupancy_bytes{shard="K"}  resident bytes per shard
 //   dockmine_shard_resident_bytes / _resident_peak_bytes
 //   dockmine_shard_spills_total / _spilled_entries_total / _spilled_bytes_total
-//   dockmine_art_nodes{kind="4|16|48|256"}     ART node census at seal time
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -59,10 +57,6 @@ struct Config {
 
   /// Initial sizing hint for each writer-shard store.
   std::size_t expected_contents_per_shard = 64;
-
-  /// Per-(writer, shard) store implementation. kDefault resolves from the
-  /// DOCKMINE_SHARD_INDEX environment variable, falling back to the ART.
-  IndexBackend backend = IndexBackend::kDefault;
 
   bool enabled() const noexcept { return shards != 0; }
   bool spill_enabled() const noexcept {
@@ -136,13 +130,8 @@ class ShardedDedupIndex {
   /// Size/type conflicts observed by writers so far (quiesced threads only).
   std::uint64_t metadata_conflicts() const;
   std::uint64_t observations() const;
-  /// Aggregate ART node census across all writers (all-zero for the map
-  /// backend). Quiesced producers only.
-  art::Stats art_stats() const;
   const Config& config() const noexcept { return config_; }
   std::uint32_t shards() const noexcept { return config_.shards; }
-  /// The resolved (concrete) store backend.
-  IndexBackend backend() const noexcept { return config_.backend; }
   /// Effective minimum store footprint before a spill triggers, whatever
   /// the configured threshold says.
   std::uint64_t spill_floor() const noexcept { return spill_floor_; }
@@ -163,8 +152,6 @@ class ShardedDedupIndex {
   }
   /// Flush every writer's resident stores as run files into `dir`.
   util::Status flush_residents_to(const std::string& dir);
-  /// Publish the ART node census to the obs gauges (writers_mutex_ held).
-  void publish_art_census_locked();
 
   Config config_;
   std::uint32_t shift_ = 64;       ///< 64 - log2(shards); 64 means 1 shard
@@ -189,8 +176,6 @@ class ShardedDedupIndex {
   std::atomic<std::uint64_t> spilled_bytes_{0};
 
   std::vector<obs::Gauge*> occupancy_gauges_;
-  std::array<obs::Gauge*, 4> art_node_gauges_{};  ///< kind 4/16/48/256
-  obs::Gauge* art_keys_gauge_ = nullptr;
   obs::Gauge* resident_gauge_ = nullptr;
   obs::Gauge* peak_gauge_ = nullptr;
   obs::Counter* spill_counter_ = nullptr;

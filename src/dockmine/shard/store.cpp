@@ -1,99 +1,17 @@
 #include "dockmine/shard/store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace dockmine::shard {
 
-IndexBackend resolve_backend(IndexBackend configured) noexcept {
-  if (configured != IndexBackend::kDefault) return configured;
-  if (const char* env = std::getenv("DOCKMINE_SHARD_INDEX")) {
-    if (std::strcmp(env, "map") == 0) return IndexBackend::kMap;
-  }
-  return IndexBackend::kArt;
-}
-
-const char* backend_name(IndexBackend backend) noexcept {
-  switch (backend) {
-    case IndexBackend::kDefault: return "default";
-    case IndexBackend::kMap: return "map";
-    case IndexBackend::kArt: return "art";
-  }
-  return "?";
-}
-
-ShardStore::ShardStore(IndexBackend backend, std::size_t expected)
-    : backend_(backend), expected_(expected == 0 ? 64 : expected) {
-  if (backend_ == IndexBackend::kMap) {
-    map_.emplace(expected_);
-  } else {
-    art_.emplace();
-  }
-}
-
-bool ShardStore::merge(std::uint64_t key,
-                       const dedup::ContentEntry& observation) {
-  dedup::ContentEntry& entry = map_ ? (*map_)[key] : (*art_)[key];
-  return dedup::merge_content_entries(entry, observation);
-}
-
-bool ShardStore::empty() const noexcept {
-  return map_ ? map_->empty() : art_->empty();
-}
-
-std::size_t ShardStore::size() const noexcept {
-  return map_ ? map_->size() : art_->size();
-}
-
-std::uint64_t ShardStore::memory_bytes() const noexcept {
-  return map_ ? map_->memory_bytes() : art_->memory_bytes();
-}
-
 void ShardStore::collect_sorted(std::vector<RunEntry>& out) const {
-  out.reserve(out.size() + size());
-  if (map_) {
-    const std::size_t first = out.size();
-    map_->for_each([&](std::uint64_t key, const dedup::ContentEntry& entry) {
-      out.push_back(RunEntry{key, entry});
-    });
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const RunEntry& a, const RunEntry& b) { return a.key < b.key; });
-    return;
-  }
-  art_->for_each([&](std::uint64_t key, const dedup::ContentEntry& entry) {
+  const std::size_t first = out.size();
+  out.reserve(first + size());
+  map_.for_each([&](std::uint64_t key, const dedup::ContentEntry& entry) {
     out.push_back(RunEntry{key, entry});
   });
-}
-
-void ShardStore::reset() {
-  if (map_) {
-    // Re-allocate at the sizing hint: clear() would keep the grown table
-    // and immediately re-trip the spill threshold.
-    map_.emplace(expected_);
-  } else {
-    art_->clear();
-  }
-}
-
-std::uint64_t ShardStore::spill_floor() const noexcept {
-  if (map_) {
-    // An empty map already owns its table; anything below ~2x that would
-    // freeze near-empty runs on every add.
-    return 2 * util::FlatMap64<dedup::ContentEntry>(expected_).memory_bytes();
-  }
-  // The empty ART owns no nodes (memory_bytes() == 0), so floor on what
-  // `expected_` resident keys cost instead. Using the ART's own per-key
-  // estimate keeps run entry counts comparable to the map backend's — a
-  // floor priced in RunEntry bytes would spill ~5x more often (ART nodes
-  // are several times larger than a serialized entry) and drown the merger
-  // in tiny runs.
-  return 2 * expected_ *
-         art::Art64<dedup::ContentEntry>::approx_bytes_per_key();
-}
-
-art::Stats ShardStore::art_stats() const {
-  return art_ ? art_->stats() : art::Stats{};
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            [](const RunEntry& a, const RunEntry& b) { return a.key < b.key; });
 }
 
 }  // namespace dockmine::shard

@@ -2,88 +2,54 @@
 // key->ContentEntry index whose entries must leave in strictly ascending
 // key order (the DMSHRUN1 run format requires it).
 //
-// Two interchangeable backends:
-//   kMap  util::FlatMap64 — O(1) upserts, pays an O(n log n) sort inside
-//         collect_sorted() every time a run is frozen.
-//   kArt  art::Art64 — O(key) upserts, and the in-order walk IS the sorted
-//         order, so freezing a run is a single linear pass. This is why
-//         sharded_index.cpp contains no std::sort: ordering is the store's
-//         contract, not the spill path's job.
-//
-// Both backends produce byte-identical run files for the same observation
-// stream (pinned by shard_test.cpp's spill-equivalence suite). The default
-// backend is the ART; set DOCKMINE_SHARD_INDEX=map|art to override, or pin
-// Config::backend explicitly in code.
+// The index is a util::FlatMap64: O(1) upserts into one contiguous slot
+// array. collect_sorted() pays an O(n log n) sort every time a run is
+// frozen; that sort is the only place the ordering contract is kept, so
+// sharded_index.cpp's spill and seal paths contain no sort of their own.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "dockmine/art/art.h"
 #include "dockmine/dedup/file_dedup.h"
 #include "dockmine/shard/run_format.h"
 #include "dockmine/util/flat_map.h"
 
 namespace dockmine::shard {
 
-enum class IndexBackend : std::uint8_t {
-  kDefault,  ///< resolve from DOCKMINE_SHARD_INDEX, falling back to kArt
-  kMap,
-  kArt,
-};
-
-/// Resolve kDefault against the DOCKMINE_SHARD_INDEX environment variable
-/// ("map" or "art"; anything else falls back to kArt). Explicit backends
-/// pass through untouched.
-IndexBackend resolve_backend(IndexBackend configured) noexcept;
-
-const char* backend_name(IndexBackend backend) noexcept;
-
 class ShardStore {
  public:
-  /// `backend` must be concrete (not kDefault); `expected` is the sizing
-  /// hint the map backend allocates for and both backends floor spills on.
-  ShardStore(IndexBackend backend, std::size_t expected);
-  ShardStore(ShardStore&&) = default;
-  ShardStore& operator=(ShardStore&&) = default;
+  /// `expected` is the sizing hint the table allocates for, and
+  /// re-allocates for on reset().
+  explicit ShardStore(std::size_t expected)
+      : expected_(expected == 0 ? 64 : expected), map_(expected_) {}
 
   /// Fold one observation into the entry for `key` (which must already be
   /// remapped and nonzero). Returns true when the merge saw a size/type
   /// conflict, mirroring dedup::merge_content_entries.
-  bool merge(std::uint64_t key, const dedup::ContentEntry& observation);
+  bool merge(std::uint64_t key, const dedup::ContentEntry& observation) {
+    return dedup::merge_content_entries(map_[key], observation);
+  }
 
-  bool empty() const noexcept;
-  std::size_t size() const noexcept;
+  bool empty() const noexcept { return map_.empty(); }
+  std::size_t size() const noexcept { return map_.size(); }
 
   /// Resident footprint driving spill accounting. Deterministic for a
-  /// given observation history on both backends.
-  std::uint64_t memory_bytes() const noexcept;
+  /// given observation history; a fresh store reports its empty table.
+  std::uint64_t memory_bytes() const noexcept { return map_.memory_bytes(); }
 
   /// Append every entry to `out` in strictly ascending key order without
-  /// mutating the store. The map backend sorts here; the ART walks.
+  /// mutating the store.
   void collect_sorted(std::vector<RunEntry>& out) const;
 
-  /// Return the store to its freshly-constructed state (map: re-allocated
-  /// at the sizing hint, so a grown table does not immediately re-trip the
-  /// spill threshold; ART: cleared).
-  void reset();
-
-  /// Minimum memory_bytes() worth freezing as a run: ~2x the empty-store
-  /// baseline, so near-empty runs are never written however low the
-  /// configured spill threshold goes.
-  std::uint64_t spill_floor() const noexcept;
-
-  /// Node census for the ART backend; all-zero for the map backend.
-  art::Stats art_stats() const;
-
-  IndexBackend backend() const noexcept { return backend_; }
+  /// Return the store to its freshly-constructed state, re-allocated at the
+  /// sizing hint: clear() would keep the grown table and immediately
+  /// re-trip the spill threshold.
+  void reset() { map_ = util::FlatMap64<dedup::ContentEntry>(expected_); }
 
  private:
-  IndexBackend backend_;
   std::size_t expected_;
-  std::optional<util::FlatMap64<dedup::ContentEntry>> map_;
-  std::optional<art::Art64<dedup::ContentEntry>> art_;
+  util::FlatMap64<dedup::ContentEntry> map_;
 };
 
 }  // namespace dockmine::shard

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 
@@ -207,11 +208,13 @@ TEST(PipelineTest, AnalyzesUniqueLayersOnceAndBuildsImages) {
   AnalysisPipeline::Options options;
   options.workers = 3;
   AnalysisPipeline pipeline(options);
-  std::size_t layer_events = 0, image_events = 0, file_events = 0;
+  std::size_t layer_events = 0, image_events = 0;
+  std::atomic<std::size_t> file_events{0};
   AnalysisPipeline::Sink sink;
   sink.on_layer = [&](const LayerProfile&) { ++layer_events; };
-  sink.on_file = [&](const digest::Digest&, const FileRecord&) {
-    ++file_events;
+  sink.on_layer_files = [&](const digest::Digest&,
+                            std::span<const FileRecord> records) {
+    file_events += records.size();
   };
   sink.on_image = [&](const ImageProfile& image) {
     EXPECT_FALSE(image.repository.empty());
@@ -229,7 +232,7 @@ TEST(PipelineTest, AnalyzesUniqueLayersOnceAndBuildsImages) {
   EXPECT_EQ(layer_events, unique_digests.size());
   EXPECT_EQ(store.value().size(), unique_digests.size());
   EXPECT_EQ(image_events, manifests.size());
-  EXPECT_GT(file_events, 0u);
+  EXPECT_GT(file_events.load(), 0u);
 }
 
 TEST(PipelineTest, PropagatesFetchErrors) {

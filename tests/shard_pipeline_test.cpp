@@ -56,12 +56,10 @@ std::uint64_t spill_threshold(Spill spill) {
 
 PipelineResult run_sharded(const PipelineOptions& base, std::uint32_t shards,
                            Spill spill, const std::string& spill_dir,
-                           ExecutionMode mode,
-                           shard::IndexBackend backend = shard::IndexBackend::kDefault) {
+                           ExecutionMode mode) {
   PipelineOptions options = base;
   options.mode = mode;
   options.shard.shards = shards;
-  options.shard.backend = backend;
   if (spill != Spill::kNone) {
     options.shard.spill_dir = spill_dir;
     options.shard.spill_threshold_bytes = spill_threshold(spill);
@@ -86,49 +84,37 @@ TEST(ShardPipelineTest, ShardAndSpillGridMatchesMonolithicByteForByte) {
   ASSERT_FALSE(golden.empty());
 
   int case_id = 0;
-  for (shard::IndexBackend backend :
-       {shard::IndexBackend::kMap, shard::IndexBackend::kArt}) {
-    for (std::uint32_t shards : {1u, 4u, 16u}) {
-      for (Spill spill : {Spill::kNone, Spill::kSome, Spill::kAll}) {
-        SCOPED_TRACE(std::string("backend ") + shard::backend_name(backend) +
-                     " shards " + std::to_string(shards) + " spill " +
-                     std::to_string(static_cast<int>(spill)));
-        const std::string spill_dir =
-            (dir.path / ("case-" + std::to_string(case_id++))).string();
-        PipelineResult sharded = run_sharded(base, shards, spill, spill_dir,
-                                             ExecutionMode::kStaged, backend);
-        EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
-        EXPECT_TRUE(sharded.shard_summary.enabled);
-        EXPECT_TRUE(sharded.file_index == nullptr);
-        EXPECT_GT(sharded.shard_summary.observations, 0u);
-        EXPECT_GT(sharded.shard_summary.distinct_contents, 0u);
-        EXPECT_GT(sharded.shard_summary.runs_merged, 0u);
-        if (spill == Spill::kAll) {
-          EXPECT_GT(sharded.shard_summary.spills, 0u);
-          EXPECT_GT(sharded.shard_summary.spilled_bytes, 0u);
-        }
+  for (std::uint32_t shards : {1u, 4u, 16u}) {
+    for (Spill spill : {Spill::kNone, Spill::kSome, Spill::kAll}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + " spill " +
+                   std::to_string(static_cast<int>(spill)));
+      const std::string spill_dir =
+          (dir.path / ("case-" + std::to_string(case_id++))).string();
+      PipelineResult sharded = run_sharded(base, shards, spill, spill_dir,
+                                           ExecutionMode::kStaged);
+      EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
+      EXPECT_TRUE(sharded.shard_summary.enabled);
+      EXPECT_TRUE(sharded.file_index == nullptr);
+      EXPECT_GT(sharded.shard_summary.observations, 0u);
+      EXPECT_GT(sharded.shard_summary.distinct_contents, 0u);
+      EXPECT_GT(sharded.shard_summary.runs_merged, 0u);
+      if (spill == Spill::kAll) {
+        EXPECT_GT(sharded.shard_summary.spills, 0u);
+        EXPECT_GT(sharded.shard_summary.spilled_bytes, 0u);
       }
     }
   }
 
   // Execution modes route observations through different thread structures
-  // (single writer / staged pool / streamed consumers); all fold the same,
-  // with either index backend.
-  for (shard::IndexBackend backend :
-       {shard::IndexBackend::kMap, shard::IndexBackend::kArt}) {
-    for (ExecutionMode mode :
-         {ExecutionMode::kSerial, ExecutionMode::kStreamed}) {
-      SCOPED_TRACE(std::string("backend ") + shard::backend_name(backend) +
-                   " mode " + std::to_string(static_cast<int>(mode)));
-      const std::string spill_dir =
-          (dir.path /
-           (std::string("mode-") + shard::backend_name(backend) + "-" +
-            std::to_string(static_cast<int>(mode))))
-              .string();
-      PipelineResult sharded =
-          run_sharded(base, 4, Spill::kSome, spill_dir, mode, backend);
-      EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
-    }
+  // (single writer / staged pool / streamed consumers); all fold the same.
+  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kStreamed}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    const std::string spill_dir =
+        (dir.path / ("mode-" + std::to_string(static_cast<int>(mode))))
+            .string();
+    PipelineResult sharded =
+        run_sharded(base, 4, Spill::kSome, spill_dir, mode);
+    EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
   }
 }
 
@@ -209,9 +195,7 @@ TEST(ShardPipelineTest, ForcedSpillKeepsPeakResidencyUnderConfiguredBound) {
   obs::set_enabled(true);
 
   // The spill trigger is max(threshold, spill floor); read the floor off a
-  // probe index with the same config instead of hardcoding internals. (An
-  // empty ART store holds zero bytes, so measuring initial residency — the
-  // old approach — says nothing about where spills fire.)
+  // probe index with the same config instead of hardcoding internals.
   std::uint64_t floor = 0;
   {
     const shard::ShardedDedupIndex probe(options.shard);
@@ -220,10 +204,10 @@ TEST(ShardPipelineTest, ForcedSpillKeepsPeakResidencyUnderConfiguredBound) {
   ASSERT_GT(floor, 0u);
   const std::uint64_t trigger =
       std::max<std::uint64_t>(options.shard.spill_threshold_bytes, floor);
-  // Every (writer, shard) store spills before exceeding its trigger; map
-  // tables double and ART grows per-node, so the instantaneous peak per
-  // store is < 2x the trigger either way. Allow one writer per worker on
-  // either side of the queue plus the main thread.
+  // Every (writer, shard) store spills before exceeding its trigger, and a
+  // map table only grows by doubling, so the instantaneous peak per store
+  // is < 2x the trigger. Allow one writer per worker on either side of the
+  // queue plus the main thread.
   const std::uint64_t writers =
       options.download_workers + options.analyze_workers + 1;
   const std::uint64_t bound = writers * options.shard.shards * 2 * trigger;

@@ -359,82 +359,13 @@ TEST(ShardedIndexTest, ConcurrentWritersMatchMonolithic) {
   expect_index_equals(merged.value(), pop.monolithic);
 }
 
-// ---------- backend spill equivalence ----------
-
-// The DMSHRUN1 contract is backend-independent: a run frozen from an ART
-// store must be byte-identical to one frozen from a sorted map holding the
-// same observations. Feed the identical stream into both backends, export
-// both shard sets, and cmp every run file pairwise.
-TEST(ShardBackendEquivalenceTest, ArtRunFilesByteIdenticalToMapRuns) {
-  for (std::uint64_t seed : {31u, 32u, 33u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const Population pop(seed);
-    TempDir map_dir("dockmine_shard_eq_map");
-    TempDir art_dir("dockmine_shard_eq_art");
-
-    auto feed_and_export = [&](IndexBackend backend,
-                               const std::string& dir) -> std::string {
-      Config config;
-      config.shards = 8;
-      config.backend = backend;
-      ShardedDedupIndex index(config);
-      auto& writer = index.local_writer();
-      for (std::size_t i = 0; i < pop.layer_files.size(); ++i) {
-        for (const auto& f : pop.layer_files[i]) {
-          writer.add(f.content, f.size, f.type, static_cast<std::uint32_t>(i));
-        }
-      }
-      auto manifest = index.export_shard_set(dir);
-      EXPECT_TRUE(manifest.ok());
-      return manifest.ok() ? manifest.value() : std::string{};
-    };
-
-    const std::string map_manifest =
-        feed_and_export(IndexBackend::kMap, map_dir.path.string());
-    const std::string art_manifest =
-        feed_and_export(IndexBackend::kArt, art_dir.path.string());
-    ASSERT_FALSE(map_manifest.empty());
-    ASSERT_FALSE(art_manifest.empty());
-
-    auto slurp = [](const std::filesystem::path& path) {
-      std::ifstream in(path, std::ios::binary);
-      return std::string(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    };
-    auto run_names = [](const std::filesystem::path& dir) {
-      std::vector<std::string> names;
-      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() == ".dmrun")
-          names.push_back(entry.path().filename().string());
-      }
-      std::sort(names.begin(), names.end());
-      return names;
-    };
-
-    const auto map_runs = run_names(map_dir.path);
-    const auto art_runs = run_names(art_dir.path);
-    ASSERT_FALSE(map_runs.empty());
-    ASSERT_EQ(map_runs, art_runs) << "same (writer, shard) freeze schedule";
-    for (const std::string& name : map_runs) {
-      SCOPED_TRACE(name);
-      const std::string map_bytes = slurp(map_dir.path / name);
-      const std::string art_bytes = slurp(art_dir.path / name);
-      ASSERT_FALSE(map_bytes.empty());
-      EXPECT_EQ(map_bytes, art_bytes) << "run bytes diverge between backends";
-    }
-    // The manifests describe identical run sets, so they match too.
-    EXPECT_EQ(slurp(map_manifest), slurp(art_manifest));
-  }
-}
-
-// Validation must not have weakened with the backend swap: a single bit
-// flip anywhere in an ART-written run file still gets the file rejected.
-TEST(ShardBackendEquivalenceTest, ArtWrittenRunsStillRejectBitFlips) {
+// A single bit flip anywhere in a run file the store froze gets the file
+// rejected.
+TEST(ShardedIndexTest, StoreWrittenRunsRejectBitFlips) {
   const Population pop(34);
   TempDir dir("dockmine_shard_eq_flip");
   Config config;
   config.shards = 4;
-  config.backend = IndexBackend::kArt;
   ShardedDedupIndex index(config);
   auto& writer = index.local_writer();
   for (std::size_t i = 0; i < pop.layer_files.size(); ++i) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -142,6 +143,58 @@ TEST(StreamChaosTest, CorruptionIsAccountedNotSilentlyAnalyzed) {
   EXPECT_GT(result.download.bytes_discarded, 0u);
   EXPECT_EQ(result.stream.layers_analyzed,
             static_cast<std::uint64_t>(result.layer_profiles.size()));
+}
+
+// Permanent corruption makes some images fail after their first layers
+// were already handed to the analyzers. Those files must not reach the
+// dedup index: the streamed report has to equal the serial one (serial
+// analyzes only the layers of delivered manifests), for both the
+// monolithic and the sharded index.
+TEST(StreamChaosTest, FilesOfUndeliveredImagesStayOutOfDedup) {
+  registry::FaultSpec faults;
+  faults.seed = 3;
+  faults.p_truncate = 0.15;
+  faults.p_bitflip = 0.15;
+
+  PipelineOptions serial_options = chaos_options();
+  serial_options.mode = ExecutionMode::kSerial;
+  serial_options.download_workers = 1;
+  serial_options.faults = &faults;
+  auto serial = run_end_to_end(serial_options);
+  ASSERT_TRUE(serial.ok()) << serial.error().message();
+  const std::string golden = analysis_report_json(serial.value()).dump();
+
+  for (std::uint32_t shards : {0u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    PipelineOptions options = chaos_options();
+    options.download_workers = 1;
+    options.faults = &faults;
+    options.shard.shards = shards;
+    auto streamed = run_end_to_end(options);
+    ASSERT_TRUE(streamed.ok()) << streamed.error().message();
+    const PipelineResult& result = streamed.value();
+
+    // The faults were permanent for some images, and the streamed run
+    // analyzed layers beyond those the delivered manifests reference.
+    ASSERT_LT(result.download.succeeded, result.download.attempted);
+    std::unordered_set<digest::Digest, digest::DigestHash> delivered;
+    std::uint64_t delivered_files = 0;
+    for (const auto& manifest : result.manifests) {
+      for (const auto& ref : manifest.layers) {
+        if (!delivered.insert(ref.digest).second) continue;
+        const auto profile = result.layer_profiles.find(ref.digest);
+        ASSERT_TRUE(profile.has_value());
+        delivered_files += profile->file_count;
+      }
+    }
+    EXPECT_GT(result.layer_profiles.size(), delivered.size());
+
+    const std::uint64_t total_files =
+        shards == 0 ? result.file_index->totals().total_files
+                    : result.shard_dedup->totals.total_files;
+    EXPECT_EQ(total_files, delivered_files);
+    EXPECT_EQ(analysis_report_json(result).dump(), golden);
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <unordered_map>
 
 #include "dockmine/blob/disk_store.h"
@@ -70,6 +71,17 @@ synth::Scale scale_from(const Flags& flags) {
 synth::Calibration calibration_from(const Flags& flags) {
   return flags.flag("light") ? synth::Calibration::light()
                              : synth::Calibration::paper();
+}
+
+/// --mode (default staged). An unknown value prints `verb`'s usage error
+/// and yields nullopt; callers exit 2.
+std::optional<core::ExecutionMode> mode_from(const Flags& flags,
+                                             const char* verb) {
+  const auto mode = core::parse_execution_mode(flags.str("mode", "staged"));
+  if (!mode) {
+    std::cerr << verb << ": --mode must be serial, staged, or streamed\n";
+  }
+  return mode;
 }
 
 int cmd_analyze(const Flags& flags) {
@@ -353,18 +365,9 @@ int cmd_metrics(const Flags& flags) {
   options.download_workers = flags.u64("workers", 4);
   options.analyze_workers = flags.u64("workers", 4);
 
-  const std::string mode = flags.str("mode").empty() ? std::string("staged")
-                                                     : flags.str("mode");
-  if (mode == "serial") {
-    options.mode = core::ExecutionMode::kSerial;
-  } else if (mode == "staged") {
-    options.mode = core::ExecutionMode::kStaged;
-  } else if (mode == "streamed") {
-    options.mode = core::ExecutionMode::kStreamed;
-  } else {
-    std::cerr << "metrics: --mode must be serial, staged, or streamed\n";
-    return 2;
-  }
+  const auto mode = mode_from(flags, "metrics");
+  if (!mode) return 2;
+  options.mode = *mode;
   options.queue_depth = flags.u64("depth", 16);
 
   options.shard.shards = static_cast<std::uint32_t>(flags.u64("shards", 0));
@@ -434,7 +437,8 @@ int cmd_metrics(const Flags& flags) {
   } else if (format == "prom") {
     std::cout << obs::to_prometheus(report);
   } else {
-    std::cout << "metrics for an end-to-end " << mode << " run over "
+    std::cout << "metrics for an end-to-end "
+              << core::execution_mode_name(options.mode) << " run over "
               << options.scale.repositories << " repositories\n";
     core::print_metrics(std::cout, report);
     if (!trace_out.empty() && crit.root_wall_ms > 0.0) {
@@ -656,18 +660,8 @@ int cmd_evolve(const Flags& flags) {
                                              : synth::Calibration::light();
   const int gzip_level = static_cast<int>(flags.u64("gzip", 1));
   const auto epochs = static_cast<std::uint32_t>(flags.u64("epochs", 4));
-  const std::string mode = flags.str("mode", "staged");
-  core::ExecutionMode exec_mode;
-  if (mode == "serial") {
-    exec_mode = core::ExecutionMode::kSerial;
-  } else if (mode == "staged") {
-    exec_mode = core::ExecutionMode::kStaged;
-  } else if (mode == "streamed") {
-    exec_mode = core::ExecutionMode::kStreamed;
-  } else {
-    std::cerr << "evolve: --mode must be serial, staged, or streamed\n";
-    return 2;
-  }
+  const auto exec_mode = mode_from(flags, "evolve");
+  if (!exec_mode) return 2;
 
   TemporalStack stack(calibration, scale, gzip_level);
   temporal::TrendReport trend;
@@ -705,7 +699,7 @@ int cmd_evolve(const Flags& flags) {
       options.scale = scale;
       options.calibration = calibration;
       options.gzip_level = gzip_level;
-      options.mode = exec_mode;
+      options.mode = *exec_mode;
       options.download_workers = flags.u64("workers", 4);
       options.analyze_workers = flags.u64("workers", 4);
       options.external_service = &oracle_service;
@@ -750,8 +744,14 @@ int cmd_evolve(const Flags& flags) {
   return 0;
 }
 
-core::JobSpec job_spec_from(const Flags& flags) {
+/// The job flags shared by serve and coordinate; nullopt (after `verb`'s
+/// usage error) on an unknown --mode.
+std::optional<core::JobSpec> job_spec_from(const Flags& flags,
+                                           const char* verb) {
+  const auto mode = mode_from(flags, verb);
+  if (!mode) return std::nullopt;
   core::JobSpec spec;
+  spec.mode = *mode;
   spec.repositories = flags.u64("repos", 120);
   spec.seed = flags.u64("seed", 20170530);
   spec.light_calibration = !flags.flag("paper");
@@ -759,16 +759,14 @@ core::JobSpec job_spec_from(const Flags& flags) {
   spec.download_workers = flags.u64("workers", 4);
   spec.analyze_workers = flags.u64("workers", 2);
   spec.shards = static_cast<std::uint32_t>(flags.u64("shards", 4));
-  const std::string mode = flags.str("mode", "staged");
-  spec.mode = mode == "serial"     ? core::ExecutionMode::kSerial
-              : mode == "streamed" ? core::ExecutionMode::kStreamed
-                                   : core::ExecutionMode::kStaged;
   return spec;
 }
 
 int cmd_serve(const Flags& flags) {
+  auto job = job_spec_from(flags, "serve");
+  if (!job) return 2;
   core::serve::ServeOptions options;
-  options.job = job_spec_from(flags);
+  options.job = *job;
   if (flags.str("repos").empty()) options.job.repositories = 40;
   options.state_dir = flags.str("state-dir", "dockmine-serve-state");
   options.port = static_cast<std::uint16_t>(flags.u64("port", 0));
@@ -957,8 +955,10 @@ int cmd_worker(const Flags& flags) {
 }
 
 int cmd_coordinate(const Flags& flags) {
+  auto spec = job_spec_from(flags, "coordinate");
+  if (!spec) return 2;
   core::CoordinatorOptions options;
-  options.spec = job_spec_from(flags);
+  options.spec = *spec;
   options.leases = static_cast<std::uint32_t>(flags.u64("leases", 3));
   options.work_dir = flags.str("work-dir", "dockmine-coordinate");
   options.port = static_cast<std::uint16_t>(flags.u64("port", 0));

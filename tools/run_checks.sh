@@ -38,14 +38,10 @@ configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/serve_chaos_test"
 "${build_root}/tsan/tests/timeseries_test"
 "${build_root}/tsan/tests/arena_test"
-"${build_root}/tsan/tests/art_test"
 "${build_root}/tsan/tests/temporal_test"
-# Both index backends under maximum spill churn: default is the ART, the
-# map path stays covered explicitly.
+# The sharded-dedup suites under maximum spill churn.
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_test"
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_pipeline_test"
-DOCKMINE_SHARD_SPILL_BYTES=1 DOCKMINE_SHARD_INDEX=map \
-  "${build_root}/tsan/tests/shard_pipeline_test"
 
 echo "== [3/3] obs compiled out (-DDOCKMINE_OBS=OFF) =="
 configure_and_build "${build_root}/obs-off" -DDOCKMINE_OBS=OFF
