@@ -3,9 +3,8 @@
 // 634,412 raw hits -> 457,627 repos; 355,319 downloaded / 111,384 failed
 // (13% auth, 87% no latest); 1,792,609 layers; 47 TB compressed.
 //
-// Part two compares staged-barrier against streamed execution under a
-// throttled registry (CostModel service times become real sleeps), showing
-// the overlap win and the bounded blob residency of the streaming hand-off.
+// Part two re-runs the same pipeline with the trace journal on: the report
+// must not change, and the journal may cost at most 1.25x.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -284,69 +283,19 @@ int main(int argc, char** argv) {
           : "n/a",
       r.service.simulated_ms / 1000.0);
 
-  // --- staged vs streamed under a throttled registry -----------------------
-  // The in-process service answers in microseconds, which would hide the
-  // overlap the streaming pipeline exists for; network_scale turns the
-  // CostModel's modeled service time into real sleeps.
-  const char* scale_env = std::getenv("DOCKMINE_NET_SCALE");
-  core::PipelineOptions cmp = options;
-  cmp.scale.repositories = std::min<std::uint64_t>(
-      cmp.scale.repositories, 200);
-  cmp.network_scale = scale_env ? std::atof(scale_env) : 0.3;
-  cmp.queue_depth = 16;
-  // Both modes get the same worker budget; with download and analysis time
-  // roughly balanced, the staged barrier pays D + A while the streamed
-  // pipeline pays ~max(D, A). The speedup is reported, not gated: it follows
-  // that balance, not a property of the code. The reports must match.
-  cmp.download_workers = 4;
-  cmp.analyze_workers = 4;
-
-  cmp.mode = core::ExecutionMode::kStaged;
-  auto staged = core::run_end_to_end(cmp);
-
-  cmp.mode = core::ExecutionMode::kStreamed;
-  auto streamed = core::run_end_to_end(cmp);
-
-  if (!staged.ok() || !streamed.ok()) {
-    std::fprintf(stderr, "mode comparison failed\n");
+  // --- event-level tracing: overhead guard + trace.json ---------------------
+  // Re-run the pipeline twice more: journal off, then journal on, recording
+  // every download/analyze event. The first run above paid the process's
+  // cold start, so the journal-off re-run is the baseline. Two things come
+  // out of it: the journal-on overhead ratio (the run fails past the stated
+  // bound), and a Chrome/Perfetto trace.json of the run plus its
+  // critical-path decomposition.
+  auto untraced = core::run_end_to_end(options);
+  if (!untraced.ok()) {
+    std::fprintf(stderr, "untraced re-run failed: %s\n",
+                 untraced.error().to_string().c_str());
     return 1;
   }
-  // Compare the pipeline proper (crawl -> download -> analyze -> dedup);
-  // both runs also pay an identical registry-materialization setup cost
-  // that a real crawl would not, which is excluded here.
-  const double staged_wall = staged.value().pipeline_seconds;
-  const double streamed_wall = streamed.value().pipeline_seconds;
-  const auto& stream = streamed.value().stream;
-  const bool identical = core::pipeline_report_json(staged.value()).dump() ==
-                         core::pipeline_report_json(streamed.value()).dump();
-
-  std::printf(
-      "\n  staged vs streamed (%llu repos, network_scale=%.3g, "
-      "DOCKMINE_NET_SCALE overrides):\n"
-      "    staged    %.2fs wall  (download barrier, then analyze)\n"
-      "    streamed  %.2fs wall  (bounded queue, depth %llu)\n"
-      "    speedup   %.2fx\n"
-      "    queue peak residency %llu / %llu blobs; producer stalls %llu\n"
-      "    injected network stall %.1fs; reports byte-identical: %s\n",
-      static_cast<unsigned long long>(cmp.scale.repositories),
-      cmp.network_scale, staged_wall, streamed_wall,
-      static_cast<unsigned long long>(stream.queue_capacity),
-      staged_wall / streamed_wall,
-      static_cast<unsigned long long>(stream.queue_peak),
-      static_cast<unsigned long long>(stream.queue_capacity),
-      static_cast<unsigned long long>(stream.producer_stalls),
-      streamed.value().throttled_ms / 1000.0, identical ? "yes" : "NO");
-  if (!identical) {
-    std::fprintf(stderr, "FAIL: staged and streamed reports differ\n");
-    exit_code = 1;
-  }
-
-  // --- event-level tracing: overhead guard + trace.json ---------------------
-  // Re-run the streamed comparison with the trace journal recording every
-  // download/analyze/queue-wait event. Two things come out of it: the
-  // journal-on overhead ratio against the journal-off streamed run above
-  // (the run fails past the stated bound), and a Chrome/Perfetto trace.json
-  // of the run plus its critical-path decomposition.
   constexpr double kTraceOverheadBound = 1.25;
   double traced_wall = 0.0;
   bool traced_identical = false;
@@ -361,7 +310,7 @@ int main(int argc, char** argv) {
     obs::set_enabled(true);
     obs::TraceJournal::global().reset();
     obs::set_journal_enabled(true);
-    auto traced = core::run_end_to_end(cmp);
+    auto traced = core::run_end_to_end(options);
     obs::set_journal_enabled(false);
     obs::set_enabled(was_enabled);
     if (!traced.ok()) {
@@ -370,19 +319,22 @@ int main(int argc, char** argv) {
       return 1;
     }
     traced_wall = traced.value().pipeline_seconds;
-    traced_identical =
-        core::pipeline_report_json(traced.value()).dump() ==
-        core::pipeline_report_json(streamed.value()).dump();
+    traced_identical = core::pipeline_report_json(traced.value()).dump() ==
+                       core::pipeline_report_json(untraced.value()).dump();
     const auto events = obs::TraceJournal::global().snapshot();
     trace_recorded = obs::TraceJournal::global().recorded();
     trace_dropped = obs::TraceJournal::global().dropped();
     crit = obs::critical_path(events);
     trace_doc = obs::trace_to_json(events, trace_recorded, trace_dropped);
   }
-  const double overhead = streamed_wall > 0.0 ? traced_wall / streamed_wall
-                                              : 1.0;
+  // Pipeline proper (crawl -> download -> analyze -> dedup) on both sides:
+  // each run also pays the synthetic registry's materialization, which a
+  // real crawl would not.
+  const double untraced_wall = untraced.value().pipeline_seconds;
+  const double overhead =
+      untraced_wall > 0.0 ? traced_wall / untraced_wall : 1.0;
   std::printf(
-      "\n  event-level tracing (streamed re-run, journal on):\n"
+      "\n  event-level tracing (re-run, journal on):\n"
       "    traced    %.2fs wall  (%.2fx of untraced; bound %.2fx %s)\n"
       "    journal   %llu events recorded, %llu dropped;"
       " report byte-identical to untraced: %s\n",
@@ -452,22 +404,9 @@ int main(int argc, char** argv) {
                           : 0.0);
     doc.set("full_run", std::move(full));
 
-    auto modes = json::Value::object();
-    modes.set("repositories",
-              static_cast<std::uint64_t>(cmp.scale.repositories));
-    modes.set("network_scale", cmp.network_scale);
-    modes.set("staged_seconds", staged_wall);
-    modes.set("streamed_seconds", streamed_wall);
-    modes.set("speedup", staged_wall / streamed_wall);
-    modes.set("queue_capacity", stream.queue_capacity);
-    modes.set("queue_peak", stream.queue_peak);
-    modes.set("producer_stalls", stream.producer_stalls);
-    modes.set("reports_identical", identical);
-    doc.set("mode_comparison", std::move(modes));
-
     auto trace = json::Value::object();
     trace.set("traced_seconds", traced_wall);
-    trace.set("untraced_seconds", streamed_wall);
+    trace.set("untraced_seconds", untraced_wall);
     trace.set("overhead_ratio", overhead);
     trace.set("overhead_bound", kTraceOverheadBound);
     trace.set("within_bound", overhead <= kTraceOverheadBound);

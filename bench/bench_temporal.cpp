@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
     }
 
     // Batch oracle: fresh epoch-K registry (build excluded from timing),
-    // serial pipeline so both sides are single-threaded apples-to-apples.
+    // one worker per pipeline stage so both sides are single-threaded
+    // apples-to-apples.
     registry::Service oracle_service;
     auto built = temporal::build_registry_at_epoch(model, epoch, gzip_level,
                                                    oracle_service);
@@ -116,7 +117,8 @@ int main(int argc, char** argv) {
     options.scale = scale;
     options.calibration = calibration;
     options.gzip_level = gzip_level;
-    options.mode = core::ExecutionMode::kSerial;
+    options.download_workers = 1;
+    options.analyze_workers = 1;
     options.external_service = &oracle_service;
     util::Stopwatch full_clock;
     auto batch = core::run_end_to_end(options);

@@ -1,5 +1,9 @@
 #include "dockmine/analyzer/pipeline.h"
 
+#include <algorithm>
+#include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "dockmine/mem/arena.h"
@@ -35,26 +39,64 @@ std::string capture_span_base(bool timed) {
   return timed ? obs::Tracer::global().current_path() : std::string{};
 }
 
-}  // namespace
-
-AnalysisPipeline::Session::Session(const AnalysisPipeline& pipeline,
-                                   const Sink& sink)
-    : analyzer_(pipeline.options().analyzer),
-      sink_(sink),
-      timed_(obs::enabled()),
-      span_base_(capture_span_base(timed_)) {}
-
-void AnalysisPipeline::Session::analyze(const digest::Digest& digest,
-                                        const std::string& gzip_blob) {
-  {
-    std::lock_guard lock(mutex_);
-    if (!first_error_.ok()) return;          // fail fast
-    if (store_.contains(digest)) return;     // idempotent re-delivery
+/// The state of one run(): any number of pool threads call analyze()
+/// concurrently, each with a distinct unique layer; the profile store, the
+/// serialized sink callbacks and the first error share one mutex. Errors
+/// are latched: after the first failure every later analyze() returns at
+/// once, and finish() surfaces it.
+class Session {
+ public:
+  /// `sink` is captured by reference and must outlive the session.
+  Session(const AnalysisPipeline::Options& options,
+          const AnalysisPipeline::Sink& sink, std::size_t layers)
+      : analyzer_(options.analyzer),
+        sink_(sink),
+        timed_(obs::enabled()),
+        span_base_(capture_span_base(timed_)) {
+    store_.reserve(layers);
   }
 
-  // One journal event per analyzed layer (duplicates returned above). In
-  // the streamed pipeline the caller adopted the producer's context, so
-  // this parents to the layer's download_layer event.
+  /// Profile one compressed layer blob and deliver layer/file results.
+  void analyze(const std::string& gzip_blob);
+
+  /// Latch an external failure (a blob fetch error) so the session fails
+  /// fast exactly as if analysis itself had failed.
+  void fail(util::Error error) {
+    std::lock_guard lock(mutex_);
+    if (first_error_.ok()) first_error_ = std::move(error);
+  }
+
+  bool failed() const {
+    std::lock_guard lock(mutex_);
+    return !first_error_.ok();
+  }
+
+  /// Build and deliver image profiles for `manifests` from the analyzed
+  /// layers. Call once, after every analyze() call returned.
+  util::Status finish(const std::vector<registry::Manifest>& manifests) {
+    if (!first_error_.ok()) return first_error_;
+    for (const auto& manifest : manifests) {
+      auto image = build_image_profile(manifest, store_);
+      if (!image.ok()) return std::move(image).error();
+      if (sink_.on_image) sink_.on_image(image.value());
+    }
+    return util::Status::success();
+  }
+
+  ProfileStore take_store() { return std::move(store_); }
+
+ private:
+  const LayerAnalyzer analyzer_;
+  const AnalysisPipeline::Sink& sink_;
+  const bool timed_;
+  const std::string span_base_;  ///< tracer path open at construction
+  mutable std::mutex mutex_;     ///< store + sinks + first_error_
+  ProfileStore store_;
+  util::Status first_error_;
+};
+
+void Session::analyze(const std::string& gzip_blob) {
+  // One journal event per analyzed layer, parented to the caller's span.
   const obs::EventSpan event_span("analyze_layer");
 
   AnalyzerMetrics& metrics = AnalyzerMetrics::get();
@@ -106,49 +148,15 @@ void AnalysisPipeline::Session::analyze(const digest::Digest& digest,
       if (first_error_.ok()) first_error_ = std::move(profile).error();
       return;
     }
-    // Two workers racing the same digest both analyze, but only the first
-    // one's results are delivered — duplicate sink calls would skew dedup.
-    if (store_.contains(profile.value().digest)) return;
     store_.put(profile.value());
-    analyzed_.fetch_add(1, std::memory_order_relaxed);
     if (sink_.on_layer) sink_.on_layer(profile.value());
   }
-  // The delivery race is settled (this thread won it), so concurrent file
-  // delivery outside the mutex is still exactly-once per unique layer.
+  // Each unique layer is analyzed by exactly one worker, so file delivery
+  // outside the mutex is still exactly-once per unique layer.
   if (sink_.on_layer_files) sink_.on_layer_files(profile.value().digest, batch);
 }
 
-void AnalysisPipeline::Session::reserve_layers(std::size_t layers) {
-  std::lock_guard lock(mutex_);
-  store_.reserve(layers);
-}
-
-void AnalysisPipeline::Session::fail(util::Error error) {
-  std::lock_guard lock(mutex_);
-  if (first_error_.ok()) first_error_ = std::move(error);
-}
-
-util::Status AnalysisPipeline::Session::finish(
-    const std::vector<registry::Manifest>& manifests) {
-  std::lock_guard lock(mutex_);
-  if (!first_error_.ok()) return first_error_;
-  for (const auto& manifest : manifests) {
-    auto image = build_image_profile(manifest, store_);
-    if (!image.ok()) return std::move(image).error();
-    if (sink_.on_image) sink_.on_image(image.value());
-  }
-  return util::Status::success();
-}
-
-util::Status AnalysisPipeline::Session::status() const {
-  std::lock_guard lock(mutex_);
-  return first_error_;
-}
-
-ProfileStore AnalysisPipeline::Session::take_store() {
-  std::lock_guard lock(mutex_);
-  return std::move(store_);
-}
+}  // namespace
 
 util::Result<ProfileStore> AnalysisPipeline::run(
     const std::vector<registry::Manifest>& manifests, const BlobFetch& fetch,
@@ -164,22 +172,19 @@ util::Result<ProfileStore> AnalysisPipeline::run(
     }
   }
 
-  Session session(*this, sink);
-  session.reserve_layers(unique.size());
+  Session session(options_, sink, unique.size());
   util::ThreadPool pool(options_.workers);
   // Parent pool-thread events into the caller's open span ("analyze").
   const obs::TraceContext run_ctx = obs::current_trace_context();
   util::parallel_for(pool, 0, unique.size(), /*grain=*/1, [&](std::size_t i) {
     const obs::ContextGuard adopt(run_ctx);
-    if (!session.status().ok()) return;  // fail fast
+    if (session.failed()) return;  // fail fast
     auto blob = fetch(unique[i]);
     if (!blob.ok()) {
-      // Latch the fetch error through a poison analyze: simplest is to
-      // record it directly.
       session.fail(std::move(blob).error());
       return;
     }
-    session.analyze(unique[i], *blob.value());
+    session.analyze(*blob.value());
   });
   pool.shutdown();
   if (auto status = session.finish(manifests); !status.ok()) {

@@ -15,7 +15,6 @@ PipelineOptions lease_pipeline_options(const JobSpec& spec,
   options.gzip_level = spec.gzip_level;
   options.download_workers = spec.download_workers;
   options.analyze_workers = spec.analyze_workers;
-  options.mode = spec.mode;
   options.shard.shards = spec.shards == 0 ? 1 : spec.shards;
   options.shard.spill_threshold_bytes = spec.spill_threshold_bytes;
   // Spills land next to the exported runs so the whole lease result ships

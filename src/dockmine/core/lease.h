@@ -43,7 +43,6 @@ struct JobSpec {
   int gzip_level = 1;
   std::size_t download_workers = 4;
   std::size_t analyze_workers = 2;
-  ExecutionMode mode = ExecutionMode::kStaged;
   std::uint32_t shards = 4;       ///< sharded dedup backend (must be >= 1)
   std::uint64_t spill_threshold_bytes = 64ull << 20;
 };

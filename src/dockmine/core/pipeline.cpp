@@ -1,61 +1,34 @@
 #include "dockmine/core/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "dockmine/analyzer/pipeline.h"
-#include "dockmine/obs/journal.h"
-#include "dockmine/obs/obs.h"
 #include "dockmine/obs/span.h"
 #include "dockmine/registry/manifest.h"
-#include "dockmine/registry/throttle.h"
 #include "dockmine/stats/cdf.h"
-#include "dockmine/util/thread_pool.h"
 
 namespace dockmine::core {
 
 namespace {
 
-struct PipelineMetrics {
-  obs::Gauge& queue_depth;
-  obs::Histogram& push_wait_ms;
-  obs::Histogram& pop_wait_ms;
-  obs::Histogram& queue_wait_ms;
-
-  static PipelineMetrics& get() {
-    auto& reg = obs::Registry::global();
-    static PipelineMetrics m{
-        reg.gauge("dockmine_pipeline_queue_depth"),
-        reg.histogram("dockmine_pipeline_queue_push_wait_ms"),
-        reg.histogram("dockmine_pipeline_queue_pop_wait_ms"),
-        reg.histogram("dockmine_pipeline_queue_wait_ms")};
-    return m;
-  }
-};
-
-/// Staged (and serial) execution: download everything, barrier, analyze.
-/// Unique layer blobs delivered by the downloader are kept in a digest map
-/// so the analysis stage reads the downloaded bytes instead of re-fetching
-/// from the registry.
-util::Status execute_staged(const PipelineOptions& options,
-                            registry::Source& source,
-                            std::size_t download_workers,
-                            std::size_t analyze_workers,
-                            const analyzer::AnalysisPipeline::Sink& sink,
-                            PipelineResult& result) {
+/// Download every repository in parallel, wait at the barrier, then analyze
+/// the unique layers of the delivered manifests in parallel. Analysis reads
+/// only the verified blobs the downloader delivered; they stay in `blobs`
+/// until analysis ends.
+util::Result<analyzer::ProfileStore> download_then_analyze(
+    const PipelineOptions& options, registry::Source& source,
+    const analyzer::AnalysisPipeline::Sink& sink, PipelineResult& result) {
   auto& tracer = obs::Tracer::global();
 
   downloader::Options dl_options;
-  dl_options.workers = download_workers;
+  dl_options.workers = options.download_workers;
   dl_options.checkpoint = options.checkpoint;
   dl_options.cancel = options.cancel;
   dl_options.deliver_resumed = options.checkpoint != nullptr;
@@ -75,234 +48,25 @@ util::Status execute_staged(const PipelineOptions& options,
   }
 
   analyzer::AnalysisPipeline::Options an_options;
-  an_options.workers = analyze_workers;
+  an_options.workers = options.analyze_workers;
   analyzer::AnalysisPipeline analysis(an_options);
-  {
-    // Worker-side untar/classify totals land under "pipeline/analyze/..."
-    // via the analysis pipeline's record_at (it reads our open path).
-    const auto span = tracer.span("analyze");
-    auto store = analysis.run(
-        result.manifests,
-        [&](const digest::Digest& digest) -> util::Result<blob::BlobPtr> {
-          auto it = blobs.find(digest);
-          if (it != blobs.end() && it->second != nullptr) return it->second;
-          return source.fetch_blob(digest);
-        },
-        sink);
-    if (!store.ok()) return std::move(store).error();
-    result.layer_profiles = std::move(store).value();
-  }
-  return util::Status::success();
-}
-
-/// Holds each analyzed layer's file records until a delivered manifest
-/// references the layer. The streamed downloader hands a layer to the
-/// analyzers before it knows whether the layer's image succeeds; without
-/// the hold, the files of an image that later fails would reach the dedup
-/// index while the images, layers and sharing sections leave that image
-/// out. Records no delivered manifest ever references die with the gate,
-/// so what it holds at any time is the files of layers whose images are
-/// still in flight or have failed.
-class DeliveredLayerGate {
- public:
-  using Route = std::function<void(const digest::Digest&,
-                                   std::span<const analyzer::FileRecord>)>;
-
-  explicit DeliveredLayerGate(Route route) : route_(std::move(route)) {}
-
-  /// Analyzer side: route `records` now if a delivered manifest already
-  /// references `layer`, else hold a copy.
-  void offer(const digest::Digest& layer,
-             std::span<const analyzer::FileRecord> records) {
-    {
-      std::lock_guard lock(mutex_);
-      if (!delivered_.contains(layer)) {
-        held_.emplace(layer, std::vector<analyzer::FileRecord>(
-                                 records.begin(), records.end()));
-        return;
-      }
-    }
-    route_(layer, records);
-  }
-
-  /// Image side: mark `manifest`'s layers delivered and route whatever was
-  /// held for them.
-  void deliver(const registry::Manifest& manifest) {
-    std::vector<std::pair<digest::Digest, std::vector<analyzer::FileRecord>>>
-        ready;
-    {
-      std::lock_guard lock(mutex_);
-      for (const auto& ref : manifest.layers) {
-        if (!delivered_.insert(ref.digest).second) continue;
-        if (auto held = held_.extract(ref.digest)) {
-          ready.emplace_back(held.key(), std::move(held.mapped()));
-        }
-      }
-    }
-    for (const auto& [layer, records] : ready) route_(layer, records);
-  }
-
- private:
-  const Route route_;
-  std::mutex mutex_;
-  std::unordered_set<digest::Digest, digest::DigestHash> delivered_;
-  std::unordered_map<digest::Digest, std::vector<analyzer::FileRecord>,
-                     digest::DigestHash>
-      held_;
-};
-
-/// Streamed execution: downloader workers push verified blobs into a
-/// bounded queue, analyzer workers drain it concurrently. The downloader
-/// runs with retain_blobs off, so the queue (not a run-wide cache) is the
-/// only place blob bytes live between the stages. File records pass
-/// through a DeliveredLayerGate, so only delivered images reach the dedup
-/// index, exactly as in staged execution.
-util::Status execute_streamed(const PipelineOptions& options,
-                              registry::Source& source,
-                              std::size_t download_workers,
-                              std::size_t analyze_workers,
-                              const analyzer::AnalysisPipeline::Sink& sink,
-                              PipelineResult& result) {
-  auto& tracer = obs::Tracer::global();
-  // One span covers the overlapped stages; the analyzer session captures
-  // this path at construction, so its gunzip/classify/untar totals land
-  // under "pipeline/stream/...".
-  const auto span = tracer.span("stream");
-
-  std::optional<DeliveredLayerGate> gate;
-  analyzer::AnalysisPipeline::Sink gated = sink;
-  if (sink.on_layer_files) {
-    gate.emplace(sink.on_layer_files);
-    gated.on_layer_files = [&gate](
-                               const digest::Digest& layer,
-                               std::span<const analyzer::FileRecord> records) {
-      gate->offer(layer, records);
-    };
-  }
-  analyzer::AnalysisPipeline analysis;
-  analyzer::AnalysisPipeline::Session session(analysis, gated);
-
-  struct Item {
-    digest::Digest digest;
-    blob::BlobPtr blob;
-    // Hand-off instrumentation: when the producer stamped it (obs clock)
-    // and which span was open there (the layer's download event), so the
-    // consumer can measure queue wait and parent its analyze event across
-    // the thread hop.
-    double enqueue_ms = 0.0;
-    obs::TraceContext ctx{};
-  };
-  util::BoundedQueue<Item> queue(std::max<std::size_t>(1, options.queue_depth));
-  std::atomic<std::uint64_t> enqueued{0};
-  std::atomic<std::uint64_t> stalls{0};
-  const bool timed = obs::enabled();
-  PipelineMetrics& metrics = PipelineMetrics::get();
-
-  std::vector<std::thread> consumers;
-  consumers.reserve(std::max<std::size_t>(1, analyze_workers));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, analyze_workers); ++i) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        const double wait_start = timed ? obs::now_ms() : 0.0;
-        auto item = queue.pop();
-        const double popped = timed ? obs::now_ms() : 0.0;
-        if (timed) {
-          metrics.pop_wait_ms.observe(popped - wait_start);
-          metrics.queue_depth.set(static_cast<std::int64_t>(queue.size()));
-        }
-        if (!item) return;  // closed and drained
-        if (timed) {
-          // Hand-off latency: producer stamp -> consumer pop (covers time
-          // in the queue plus any producer backpressure stall).
-          metrics.queue_wait_ms.observe(popped - item->enqueue_ms);
-          obs::record_event("queue_wait", obs::EventKind::kQueueWait,
-                            item->enqueue_ms, popped, item->ctx);
-        }
-        {
-          // Adopt the producer's context so the analyze event parents to
-          // this layer's download event, not to this consumer thread.
-          obs::ContextGuard adopt(item->ctx);
-          session.analyze(item->digest, *item->blob);
-        }
-        if (options.on_layer_analyzed) {
-          options.on_layer_analyzed(session.layers_analyzed());
-        }
-      }
-    });
-  }
-
-  downloader::Options dl_options;
-  dl_options.workers = download_workers;
-  dl_options.checkpoint = options.checkpoint;
-  dl_options.cancel = options.cancel;
-  dl_options.deliver_resumed = options.checkpoint != nullptr;
-  dl_options.retain_blobs = false;
-  dl_options.layer_sink = [&](const digest::Digest& digest,
-                              const blob::BlobPtr& blob) {
-    Item item{digest, blob};
-    if (timed) {
-      item.enqueue_ms = obs::now_ms();
-      item.ctx = obs::current_trace_context();
-    }
-    enqueued.fetch_add(1, std::memory_order_relaxed);
-    if (!queue.try_push(item)) {
-      // Full: this is backpressure working. Count the stall, then block.
-      stalls.fetch_add(1, std::memory_order_relaxed);
-      const double wait_start = timed ? obs::now_ms() : 0.0;
-      const obs::TraceContext push_ctx = item.ctx;
-      queue.push(std::move(item));
-      if (timed) {
-        const double pushed = obs::now_ms();
-        metrics.push_wait_ms.observe(pushed - wait_start);
-        obs::record_event("queue_push_wait", obs::EventKind::kQueueWait,
-                          wait_start, pushed, push_ctx);
-      }
-    }
-    if (timed) metrics.queue_depth.set(static_cast<std::int64_t>(queue.size()));
-  };
-  downloader::Downloader downloader(source, dl_options);
-
-  result.download = downloader.run(
-      result.crawl.repositories, [&](downloader::DownloadedImage&& image) {
-        if (gate) gate->deliver(image.manifest);
-        result.manifests.push_back(std::move(image.manifest));
-      });
-  queue.close();
-  for (auto& consumer : consumers) consumer.join();
-
-  result.stream.layers_enqueued = enqueued.load(std::memory_order_relaxed);
-  result.stream.layers_analyzed = session.layers_analyzed();
-  result.stream.queue_capacity = queue.capacity();
-  result.stream.queue_peak = queue.peak();
-  result.stream.producer_stalls = stalls.load(std::memory_order_relaxed);
-
-  if (auto status = session.status(); !status.ok()) return status;
-  if (auto status = session.finish(result.manifests); !status.ok()) {
-    return status;
-  }
-  result.layer_profiles = session.take_store();
-  return util::Status::success();
+  // Worker-side untar/classify totals land under "pipeline/analyze/..."
+  // via the analysis pipeline's record_at (it reads our open path).
+  const auto span = tracer.span("analyze");
+  return analysis.run(
+      result.manifests,
+      [&](const digest::Digest& digest) -> util::Result<blob::BlobPtr> {
+        // Every layer of a delivered manifest arrived verified above; a miss
+        // is a bug, never a reason to read the registry unverified.
+        const auto it = blobs.find(digest);
+        if (it != blobs.end() && it->second != nullptr) return it->second;
+        return util::internal("pipeline: no verified blob for layer " +
+                              digest.short_hex());
+      },
+      sink);
 }
 
 }  // namespace
-
-const char* execution_mode_name(ExecutionMode mode) noexcept {
-  switch (mode) {
-    case ExecutionMode::kSerial: return "serial";
-    case ExecutionMode::kStaged: return "staged";
-    case ExecutionMode::kStreamed: return "streamed";
-  }
-  return "staged";
-}
-
-std::optional<ExecutionMode> parse_execution_mode(
-    std::string_view name) noexcept {
-  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kStaged,
-                             ExecutionMode::kStreamed}) {
-    if (name == execution_mode_name(mode)) return mode;
-  }
-  return std::nullopt;
-}
 
 util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   PipelineResult result;
@@ -324,20 +88,15 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   }
 
   // --- source decorator chain, composed bottom-up ---
-  //   Downloader -> [Throttled ->] [Resilient -> Faulty ->] Service
+  //   Downloader -> [Resilient -> Faulty ->] Service
   registry::Source* source = &service;
   std::optional<registry::FaultySource> faulty;
   std::optional<registry::ResilientSource> resilient;
-  std::optional<registry::ThrottledSource> throttled;
   if (options.faults != nullptr) {
     faulty.emplace(service, *options.faults);
     resilient.emplace(*faulty, options.retry, options.breaker,
                       options.faults->seed);
     source = &*resilient;
-  }
-  if (options.network_scale > 0.0) {
-    throttled.emplace(*source, service.cost_model(), options.network_scale);
-    source = &*throttled;
   }
 
   // --- crawl ---
@@ -384,7 +143,7 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
     result.crawl.repositories = std::move(mine);
   }
 
-  // --- download + analyze, per execution mode ---
+  // --- download, barrier, analyze ---
   std::optional<shard::ShardedDedupIndex> sharded;
   if (options.run_file_dedup && options.shard.enabled()) {
     sharded.emplace(options.shard);
@@ -433,16 +192,9 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
     result.images.push_back(profile);
   };
 
-  const bool serial = options.mode == ExecutionMode::kSerial;
-  const std::size_t download_workers = serial ? 1 : options.download_workers;
-  const std::size_t analyze_workers = serial ? 1 : options.analyze_workers;
-  util::Status status =
-      options.mode == ExecutionMode::kStreamed
-          ? execute_streamed(options, *source, download_workers,
-                             analyze_workers, sink, result)
-          : execute_staged(options, *source, download_workers, analyze_workers,
-                           sink, result);
-  if (!status.ok()) return status.error();
+  auto profiles = download_then_analyze(options, *source, sink, result);
+  if (!profiles.ok()) return std::move(profiles).error();
+  result.layer_profiles = std::move(profiles).value();
 
   // --- layer sharing over the downloaded manifests ---
   {
@@ -492,7 +244,6 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   result.service = service.stats();
   if (resilient) result.resilience = resilient->stats();
   if (faulty) result.fault_stats = faulty->stats();
-  if (throttled) result.throttled_ms = throttled->throttled_ms();
   return result;
 }
 
@@ -544,9 +295,6 @@ json::Value analysis_report_json(const PipelineResult& result) {
   }
 
   // --- layers: unique layers referenced by the delivered manifests ---
-  // (not the raw profile store: under faults the streamed pipeline may have
-  // analyzed layers of images that later failed, and those must not skew
-  // the report).
   {
     std::unordered_set<digest::Digest, digest::DigestHash> seen;
     stats::Ecdf cls, fls, files_per_layer;

@@ -6,22 +6,13 @@
 //   -> analyze (gunzip + untar + classify, parallel)
 //   -> dedup (file index + layer sharing)
 //
-// Three execution modes share the stages:
-//
-//   * kSerial  — one worker per stage, staged barriers. The reference
-//     ordering; slowest, simplest to reason about.
-//   * kStaged  — parallel download, barrier, parallel analyze. The
-//     pre-streaming behavior: every unique layer blob is resident between
-//     the two stages.
-//   * kStreamed — downloader workers push each verified layer blob into a
-//     bounded queue; analyzer workers consume concurrently. Download
-//     latency overlaps analysis CPU, and peak blob residency in the
-//     hand-off is bounded by `queue_depth` (the downloader runs with
-//     retain_blobs off, so no run-wide blob cache builds up either).
-//
-// All three produce byte-identical canonical reports
-// (pipeline_report_json) under a fixed seed: the report is built from
-// order-independent aggregates only, never from completion order.
+// One execution path: download every verified layer blob in parallel
+// (`download_workers`), wait at a barrier, then analyze the unique layers
+// of the delivered manifests in parallel (`analyze_workers`). One worker
+// per stage is the reference ordering. Every worker count produces
+// byte-identical canonical reports (pipeline_report_json) under a fixed
+// seed: the report is built from order-independent aggregates only, never
+// from completion order. DESIGN.md §9 records why the barrier stays.
 //
 // Used by the integration tests, the quickstart example, and
 // bench_pipeline_end2end.
@@ -29,11 +20,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "dockmine/analyzer/image_analyzer.h"
@@ -53,18 +42,6 @@
 
 namespace dockmine::core {
 
-enum class ExecutionMode {
-  kSerial,    ///< staged with one worker per stage
-  kStaged,    ///< parallel stages separated by barriers
-  kStreamed,  ///< download and analysis overlapped through a bounded queue
-};
-
-/// "serial", "staged" or "streamed": the spelling the CLI's --mode and the
-/// lease wire format share.
-const char* execution_mode_name(ExecutionMode mode) noexcept;
-/// Inverse of execution_mode_name; nullopt for any other spelling.
-std::optional<ExecutionMode> parse_execution_mode(std::string_view name) noexcept;
-
 struct PipelineOptions {
   synth::Scale scale = synth::Scale::test();
   synth::Calibration calibration = synth::Calibration::paper();
@@ -72,12 +49,6 @@ struct PipelineOptions {
   std::size_t analyze_workers = 2;
   int gzip_level = 6;
   bool run_file_dedup = true;
-  ExecutionMode mode = ExecutionMode::kStaged;
-
-  /// Streamed mode: capacity of the download->analyze blob queue. Peak
-  /// blob residency in the hand-off is bounded by this depth (plus one
-  /// in-flight blob per worker on either side).
-  std::size_t queue_depth = 16;
 
   /// Optional crash/resume record; not owned, must outlive the run. With a
   /// checkpoint attached, completed repositories are replayed from disk on
@@ -86,13 +57,8 @@ struct PipelineOptions {
   downloader::Checkpoint* checkpoint = nullptr;
 
   /// Cooperative cancellation: once set, repositories not yet started are
-  /// skipped. Chaos tests use this to kill a run mid-stream.
+  /// skipped. Chaos tests use this to kill a run mid-download.
   const std::atomic<bool>* cancel = nullptr;
-
-  /// Invoked after each analyzed layer with the running count (streamed
-  /// mode only; called outside all pipeline locks). Chaos tests use it to
-  /// trigger cancellation after N layers.
-  std::function<void(std::uint64_t analyzed)> on_layer_analyzed;
 
   /// Chaos: inject seeded faults between the registry and the downloader,
   /// with retry/backoff/circuit-breaking layered on top (Downloader ->
@@ -102,18 +68,12 @@ struct PipelineOptions {
   registry::RetryPolicy retry;      ///< used when faults != nullptr
   registry::BreakerPolicy breaker;  ///< used when faults != nullptr
 
-  /// > 0: sleep each registry request for its CostModel-modeled service
-  /// time scaled by this factor (ThrottledSource). The in-process registry
-  /// answers in microseconds; throttling makes the staged-vs-streamed
-  /// comparison measure real download/analysis overlap.
-  double network_scale = 0.0;
-
   /// Sharded dedup backend (dockmine::shard). shard.shards == 0 (the
   /// default) keeps the monolithic FileDedupIndex; any other value routes
   /// file observations to a hash-partitioned, optionally disk-spilling
   /// index instead, and the report's dedup section is computed by merging
   /// the shard runs. The emitted report bytes are identical either way, for
-  /// every execution mode, shard count, and spill threshold.
+  /// every worker count, shard count, and spill threshold.
   shard::Config shard;
 
   /// When non-empty (requires shard.enabled()), additionally freeze the
@@ -127,8 +87,8 @@ struct PipelineOptions {
   /// crawler's search index): the temporal batch oracle points this at an
   /// evolving registry advanced to epoch K, and the run crawls, downloads,
   /// and analyzes whatever that service holds. Not owned; must outlive the
-  /// run. Fault/throttle decorators compose as usual;
-  /// `manifests_pushed` stays 0 because nothing was materialized here.
+  /// run. Fault decorators compose as usual; `manifests_pushed` stays 0
+  /// because nothing was materialized here.
   registry::Service* external_service = nullptr;
 
   /// Multi-node simulation (requires shard.enabled() when > 1): this run
@@ -141,13 +101,12 @@ struct PipelineOptions {
   std::uint32_t node_index = 0;
 };
 
-/// Streamed-mode hand-off accounting; all zeros for the other modes.
+/// Always zero: download and analysis meet at a barrier, not in a queue.
+/// perfbench still reports these two fields, so they stay until its next
+/// change drops them.
 struct StreamStats {
-  std::uint64_t layers_enqueued = 0;   ///< blobs pushed by the downloader
-  std::uint64_t layers_analyzed = 0;   ///< profiles produced by consumers
-  std::uint64_t queue_capacity = 0;    ///< configured depth
-  std::uint64_t queue_peak = 0;        ///< max blobs resident at once
-  std::uint64_t producer_stalls = 0;   ///< pushes that blocked (backpressure)
+  std::uint64_t queue_peak = 0;
+  std::uint64_t producer_stalls = 0;
 };
 
 /// Accounting for the sharded dedup backend; all zeros when it is off.
@@ -184,10 +143,9 @@ struct PipelineResult {
   StreamStats stream;
   registry::ResilienceStats resilience;  ///< zeros without faults
   registry::FaultStats fault_stats;      ///< zeros without faults
-  double throttled_ms = 0.0;             ///< total injected network stall
   /// Wall time of the pipeline proper — crawl through dedup — excluding
   /// the synthetic registry's materialization (which a real crawl does not
-  /// pay). This is the number mode comparisons should use.
+  /// pay). This is the number run-to-run comparisons should use.
   double pipeline_seconds = 0.0;
 };
 
@@ -196,18 +154,17 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options);
 /// Canonical analysis report: images / layers / sharing / dedup aggregates.
 /// Built only from order-independent quantities (totals, quantiles over
 /// multisets, name-sorted listings), so any two runs that analyzed the same
-/// image set serialize byte-identically — regardless of execution mode,
-/// worker counts, queue depth, thread interleaving, or whether the run was
-/// resumed from a checkpoint. Layer aggregates are derived from the layers
-/// referenced by delivered manifests (not the raw profile store, which may
-/// hold extra layers from images that failed mid-download under faults).
+/// image set serialize byte-identically — regardless of worker counts,
+/// thread interleaving, or whether the run was resumed from a checkpoint.
+/// Layer aggregates are derived from the unique layers the delivered
+/// manifests reference.
 json::Value analysis_report_json(const PipelineResult& result);
 
 /// Canonical full report: the analysis report plus download accounting.
 /// Adds the per-repository outcome buckets and verified-transfer totals;
 /// excludes wall-clock and race-dependent counters (wall_seconds, retries,
-/// bytes_discarded). Byte-identical across execution modes for a fixed
-/// seed on a fault-free source.
+/// bytes_discarded). Byte-identical across worker counts for a fixed seed
+/// on a fault-free source.
 json::Value pipeline_report_json(const PipelineResult& result);
 
 }  // namespace dockmine::core

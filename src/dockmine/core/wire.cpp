@@ -161,7 +161,6 @@ json::Value job_spec_to_json(const JobSpec& spec) {
   doc.set("gzip_level", std::int64_t{spec.gzip_level});
   doc.set("download_workers", std::uint64_t{spec.download_workers});
   doc.set("analyze_workers", std::uint64_t{spec.analyze_workers});
-  doc.set("mode", execution_mode_name(spec.mode));
   doc.set("shards", std::uint64_t{spec.shards});
   doc.set("spill_threshold_bytes", spec.spill_threshold_bytes);
   return doc;
@@ -176,8 +175,7 @@ util::Result<JobSpec> job_spec_from_json(const json::Value& doc) {
       !require_uint(doc, "seed", spec.seed) ||
       !require_uint(doc, "spill_threshold_bytes",
                     spec.spill_threshold_bytes) ||
-      !doc["light"].is_bool() || !doc["gzip_level"].is_int() ||
-      !doc["mode"].is_string())
+      !doc["light"].is_bool() || !doc["gzip_level"].is_int())
     return util::corrupt("wire: job spec fields missing or invalid");
   spec.light_calibration = doc["light"].as_bool();
   spec.gzip_level = static_cast<int>(doc["gzip_level"].as_int());
@@ -189,9 +187,6 @@ util::Result<JobSpec> job_spec_from_json(const json::Value& doc) {
       workers > 256)
     return util::corrupt("wire: job spec analyze_workers out of range");
   spec.analyze_workers = static_cast<std::size_t>(workers);
-  const auto mode = parse_execution_mode(doc["mode"].as_string());
-  if (!mode) return util::corrupt("wire: job spec mode unrecognized");
-  spec.mode = *mode;
   if (!require_uint(doc, "shards", shards) || shards == 0 || shards > 4096)
     return util::corrupt("wire: job spec shards out of range");
   spec.shards = static_cast<std::uint32_t>(shards);

@@ -98,11 +98,7 @@ util::Result<blob::BlobPtr> Downloader::fetch_layer(
     const digest::Digest& digest) {
   if (!options_.dedup_unique_layers) {
     const obs::EventSpan layer_span("download_layer");
-    auto blob = acquire_layer(digest);
-    if (blob.ok() && options_.layer_sink) {
-      options_.layer_sink(digest, blob.value());
-    }
-    return blob;
+    return acquire_layer(digest);
   }
 
   {
@@ -121,8 +117,7 @@ util::Result<blob::BlobPtr> Downloader::fetch_layer(
   }
 
   // One journal event per unique transferred layer (cache hits return
-  // above without one). The sink below fires while this span is open, so
-  // downstream consumers can parent their work to this layer's download.
+  // above without one).
   const obs::EventSpan layer_span("download_layer");
   auto blob = acquire_layer(digest);
   {
@@ -130,20 +125,11 @@ util::Result<blob::BlobPtr> Downloader::fetch_layer(
     in_flight_.erase(digest);
     if (blob.ok()) {
       // Only verified blobs enter the cache, so a corrupt transfer can
-      // never be replayed to other images sharing the layer. Without
-      // retain_blobs the entry is a null completion marker: later
-      // references learn the layer is done without pinning its bytes.
-      layer_cache_.emplace(digest,
-                           options_.retain_blobs ? blob.value() : nullptr);
+      // never be replayed to other images sharing the layer.
+      layer_cache_.emplace(digest, blob.value());
     }
   }
   cache_cv_.notify_all();
-  // The sink runs after the cache insert so a blocking downstream (bounded
-  // queue backpressure) stalls only this worker — same-digest waiters were
-  // already released by the notify above.
-  if (blob.ok() && options_.layer_sink) {
-    options_.layer_sink(digest, blob.value());
-  }
   return blob;
 }
 
@@ -157,14 +143,12 @@ util::Result<DownloadedImage> Downloader::fetch_image(
 
   DownloadedImage image;
   image.manifest = std::move(manifest).value();
-  if (options_.retain_blobs) {
-    image.layer_blobs.resize(image.manifest.layers.size());
-  }
+  image.layer_blobs.resize(image.manifest.layers.size());
 
   for (std::size_t i = 0; i < image.manifest.layers.size(); ++i) {
     auto blob = fetch_layer(image.manifest.layers[i].digest);
     if (!blob.ok()) return std::move(blob).error();
-    if (options_.retain_blobs) image.layer_blobs[i] = std::move(blob).value();
+    image.layer_blobs[i] = std::move(blob).value();
   }
   return image;
 }
@@ -191,7 +175,7 @@ DownloadStats Downloader::run(
   util::ThreadPool pool(options_.workers);
   DownloaderMetrics& metrics = DownloaderMetrics::get();
   // Pool threads have no span context of their own; adopt the calling
-  // thread's (the pipeline's "download"/"stream" span) so per-layer events
+  // thread's (the pipeline's "download" span) so per-layer events
   // parent into the run's trace instead of floating as roots.
   const obs::TraceContext run_ctx = obs::current_trace_context();
   util::parallel_for(pool, 0, repositories.size(), /*grain=*/1,

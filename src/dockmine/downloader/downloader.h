@@ -48,26 +48,14 @@ struct Options {
   bool verify_digests = true;
   /// Optional crash/resume record; not owned, must outlive the run.
   Checkpoint* checkpoint = nullptr;
-  /// Keep each unique layer's bytes in the run-wide cache and deliver them
-  /// in DownloadedImage::layer_blobs. Turning this off caps blob residency:
-  /// the cache records only completion markers, images are delivered
-  /// without bytes, and a `layer_sink` is the sole consumer of blob
-  /// contents — the streaming pipeline's memory model.
-  bool retain_blobs = true;
-  /// Invoked exactly once per unique verified layer (checkpoint resumes
-  /// included) from the worker that acquired it, outside all internal
-  /// locks. May block: a bounded downstream queue blocks the pushing
-  /// worker, which is precisely the backpressure a streaming pipeline
-  /// wants. With dedup_unique_layers off it fires once per acquisition.
-  std::function<void(const digest::Digest&, const blob::BlobPtr&)> layer_sink;
   /// Cooperative cancellation: once set, repositories not yet started are
   /// skipped (counted in DownloadStats::repos_canceled). In-flight
   /// repositories finish normally, so a checkpointed run can be "killed"
-  /// mid-stream and later resumed without torn per-repo state.
+  /// mid-run and later resumed without torn per-repo state.
   const std::atomic<bool>* cancel = nullptr;
   /// Re-deliver checkpoint-completed repositories through the sinks (the
   /// manifest is re-fetched; layer bytes come from the checkpoint store,
-  /// not the network). A resumed streaming run needs the full image set to
+  /// not the network). A resumed pipeline run needs the full image set to
   /// rebuild its report; a mirror-style run does not — hence opt-in.
   bool deliver_resumed = false;
 };

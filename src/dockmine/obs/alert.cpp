@@ -239,19 +239,6 @@ std::vector<AlertRule> default_serve_rules() {
     rules.push_back(std::move(rule));
   }
   {
-    // Pipeline back-pressure: p99 queue wait beyond 5 s for 10 s means
-    // ingest is drowning the worker pool.
-    AlertRule rule;
-    rule.name = "pipeline_queue_wait_p99_ms";
-    rule.series = "dockmine_pipeline_queue_wait_ms";
-    rule.source = AlertRule::Source::kQuantile;
-    rule.quantile = 0.99;
-    rule.window_ms = 60'000;
-    rule.threshold = 5000.0;
-    rule.for_ms = 10'000;
-    rules.push_back(std::move(rule));
-  }
-  {
     // Registry fault retries: sustained retry storms signal a sick
     // upstream, not the occasional injected fault.
     AlertRule rule;

@@ -53,7 +53,7 @@ CriticalPathReport critical_path(const std::vector<TraceEvent>& events,
   report.root_wall_ms = root->end_ms - root->start_ms;
 
   // Only leaf descendants compete for attribution: a container span (e.g.
-  // "stream") outlives the per-layer events inside it, so letting it win
+  // "download") outlives the per-layer events inside it, so letting it win
   // "last finisher" would swallow its whole interval and hide the real
   // work. Its uncovered remainder still shows up as root self time.
   std::unordered_set<std::uint64_t> has_children;

@@ -1,13 +1,13 @@
 // Critical-path attribution over a TraceJournal snapshot.
 //
 // "Which stage was the bottleneck" is not answerable from aggregate span
-// totals once stages overlap: in the streamed pipeline, download and
-// analyze wall-clock sum to far more than the run's elapsed time. The
+// totals: they sum per-layer work across threads, so a stage's total can
+// exceed the run's elapsed time. The
 // critical path decomposes the *root span's own wall interval* instead:
 // walking backwards from the root's end, each instant is attributed to the
 // leaf descendant event that finished last at that point (the "last
 // finisher" — the work the run was actually waiting on; container spans
-// like "stream" are skipped so they cannot swallow the per-layer events
+// like "download" are skipped so they cannot swallow the per-layer events
 // inside them), and instants no leaf covers fall to the root itself. The
 // resulting segments tile the root interval exactly, so the per-name
 // totals sum to the root's wall time and answer "if I made stage X faster,

@@ -28,9 +28,9 @@
 // Context propagation: each thread carries a current TraceContext
 // (trace_id + innermost open span). Tracer spans and EventSpans push/pop
 // it; `ContextGuard` adopts a captured context on another thread, which is
-// how a layer's analyze event parents to its download event across the
-// streamed pipeline's bounded queue, and `record_event` records externally
-// measured intervals (queue waits) under an explicit parent.
+// how a pool thread's per-layer events parent to the stage span that
+// submitted them, and `record_event` records externally measured intervals
+// (such as queue waits) under an explicit parent.
 #pragma once
 
 #include <array>

@@ -123,7 +123,6 @@ class Service : public Source {
   std::size_t repository_count() const;
 
   ServiceStats stats() const;
-  const CostModel& cost_model() const noexcept { return cost_; }
   blob::StoreStats blob_stats() const { return blobs_.stats(); }
 
  private:

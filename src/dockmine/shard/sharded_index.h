@@ -3,8 +3,8 @@
 //
 // Content keys route to one of N shards by their top log2(N) bits. Each
 // producer thread owns a private Writer holding one small ShardStore per
-// shard (a FlatMap64, see store.h), so concurrent routing in the
-// streamed pipeline is lock-free: a writer never shares a store with
+// shard (a FlatMap64, see store.h), so concurrent routing from the
+// pipeline's analyze pool is lock-free: a writer never shares a store with
 // another thread, and the only cross-thread traffic is relaxed occupancy
 // accounting. When a writer's store for some shard grows past the spill
 // threshold, the store is frozen to a sorted, checksummed run file

@@ -5,8 +5,8 @@
 // Invariant (the subsystem's contract, pinned by temporal_test and the CI
 // temporal-smoke job): after apply_epoch(K), report() is byte-identical to
 // core::analysis_report_json of a from-scratch batch run over the epoch-K
-// registry snapshot — same discipline as the mode/shard/distribution
-// equivalences of DESIGN.md §9-§12. Three properties make this possible:
+// registry snapshot — same discipline as the worker-count/shard/
+// distribution equivalences of DESIGN.md §9-§12. Three properties make this possible:
 //
 //   * layer blobs are content-addressed, so "changed" is decidable from the
 //     manifest diff alone — a digest already resident needs no bytes;

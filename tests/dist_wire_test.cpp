@@ -189,7 +189,6 @@ TEST(DistWire, JobSpecRoundtrip) {
   spec.gzip_level = 6;
   spec.download_workers = 7;
   spec.analyze_workers = 3;
-  spec.mode = dockmine::core::ExecutionMode::kStreamed;
   spec.shards = 16;
   spec.spill_threshold_bytes = 1ull << 30;
 
@@ -202,7 +201,6 @@ TEST(DistWire, JobSpecRoundtrip) {
   EXPECT_EQ(got.gzip_level, spec.gzip_level);
   EXPECT_EQ(got.download_workers, spec.download_workers);
   EXPECT_EQ(got.analyze_workers, spec.analyze_workers);
-  EXPECT_EQ(got.mode, spec.mode);
   EXPECT_EQ(got.shards, spec.shards);
   EXPECT_EQ(got.spill_threshold_bytes, spec.spill_threshold_bytes);
 }
@@ -215,10 +213,6 @@ TEST(DistWire, JobSpecRejectsOutOfRange) {
 
   doc = wire::job_spec_to_json(spec);
   doc.set("shards", std::uint64_t{5000});
-  EXPECT_FALSE(wire::job_spec_from_json(doc).ok());
-
-  doc = wire::job_spec_to_json(spec);
-  doc.set("mode", "warp-speed");
   EXPECT_FALSE(wire::job_spec_from_json(doc).ok());
 }
 

@@ -61,7 +61,6 @@ core::JobSpec chaos_spec(std::uint64_t repositories = 6) {
   spec.gzip_level = 1;
   spec.download_workers = 2;
   spec.analyze_workers = 2;
-  spec.mode = core::ExecutionMode::kStaged;
   spec.shards = 2;
   return spec;
 }

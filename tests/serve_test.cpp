@@ -75,7 +75,6 @@ core::JobSpec test_spec() {
   spec.gzip_level = 1;
   spec.download_workers = 2;
   spec.analyze_workers = 2;
-  spec.mode = core::ExecutionMode::kStaged;
   spec.shards = 2;
   return spec;
 }

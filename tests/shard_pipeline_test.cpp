@@ -2,7 +2,7 @@
 // canonical reports are byte-identical whether file observations go through
 // the monolithic FileDedupIndex or the hash-partitioned, disk-spilling
 // dockmine::shard backend — across shard counts, spill pressure (none /
-// some / everything), execution modes, seeds, and K-way multi-node splits.
+// some / everything), worker counts, seeds, and K-way multi-node splits.
 // Sharding changes *where* aggregation state lives, never *what* the
 // dataset looks like.
 //
@@ -55,10 +55,8 @@ std::uint64_t spill_threshold(Spill spill) {
 }
 
 PipelineResult run_sharded(const PipelineOptions& base, std::uint32_t shards,
-                           Spill spill, const std::string& spill_dir,
-                           ExecutionMode mode) {
+                           Spill spill, const std::string& spill_dir) {
   PipelineOptions options = base;
-  options.mode = mode;
   options.shard.shards = shards;
   if (spill != Spill::kNone) {
     options.shard.spill_dir = spill_dir;
@@ -90,8 +88,7 @@ TEST(ShardPipelineTest, ShardAndSpillGridMatchesMonolithicByteForByte) {
                    std::to_string(static_cast<int>(spill)));
       const std::string spill_dir =
           (dir.path / ("case-" + std::to_string(case_id++))).string();
-      PipelineResult sharded = run_sharded(base, shards, spill, spill_dir,
-                                           ExecutionMode::kStaged);
+      PipelineResult sharded = run_sharded(base, shards, spill, spill_dir);
       EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
       EXPECT_TRUE(sharded.shard_summary.enabled);
       EXPECT_TRUE(sharded.file_index == nullptr);
@@ -105,20 +102,21 @@ TEST(ShardPipelineTest, ShardAndSpillGridMatchesMonolithicByteForByte) {
     }
   }
 
-  // Execution modes route observations through different thread structures
-  // (single writer / staged pool / streamed consumers); all fold the same.
-  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kStreamed}) {
-    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+  // Worker counts route observations through different thread structures
+  // (a single writer / a pool of concurrent writers); all fold the same.
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    PipelineOptions options = base;
+    options.download_workers = workers;
+    options.analyze_workers = workers;
     const std::string spill_dir =
-        (dir.path / ("mode-" + std::to_string(static_cast<int>(mode))))
-            .string();
-    PipelineResult sharded =
-        run_sharded(base, 4, Spill::kSome, spill_dir, mode);
+        (dir.path / ("workers-" + std::to_string(workers))).string();
+    PipelineResult sharded = run_sharded(options, 4, Spill::kSome, spill_dir);
     EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
   }
 }
 
-TEST(ShardPipelineTest, DiagonalSeedsMatchUnderMaxSpillStreamed) {
+TEST(ShardPipelineTest, DiagonalSeedsMatchUnderMaxSpill) {
   for (std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{99991}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     TempDir dir("dockmine_shard_seed_" + std::to_string(seed));
@@ -128,9 +126,8 @@ TEST(ShardPipelineTest, DiagonalSeedsMatchUnderMaxSpillStreamed) {
     ASSERT_TRUE(monolithic.ok()) << monolithic.error().message();
     const std::string golden = pipeline_report_json(monolithic.value()).dump();
 
-    PipelineResult sharded = run_sharded(base, 16, Spill::kAll,
-                                         dir.path.string(),
-                                         ExecutionMode::kStreamed);
+    PipelineResult sharded =
+        run_sharded(base, 16, Spill::kAll, dir.path.string());
     EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
     EXPECT_GT(sharded.shard_summary.spills, 0u);
   }
@@ -187,7 +184,6 @@ TEST(ShardPipelineTest, MultiNodeSplitReproducesSingleNodeReportExactly) {
 TEST(ShardPipelineTest, ForcedSpillKeepsPeakResidencyUnderConfiguredBound) {
   TempDir dir("dockmine_shard_bound");
   PipelineOptions options = small_options(20170530);
-  options.mode = ExecutionMode::kStreamed;
   options.shard.shards = 4;
   options.shard.spill_dir = dir.path.string();
   options.shard.spill_threshold_bytes = spill_threshold(Spill::kAll);
@@ -206,10 +202,8 @@ TEST(ShardPipelineTest, ForcedSpillKeepsPeakResidencyUnderConfiguredBound) {
       std::max<std::uint64_t>(options.shard.spill_threshold_bytes, floor);
   // Every (writer, shard) store spills before exceeding its trigger, and a
   // map table only grows by doubling, so the instantaneous peak per store
-  // is < 2x the trigger. Allow one writer per worker on either side of the
-  // queue plus the main thread.
-  const std::uint64_t writers =
-      options.download_workers + options.analyze_workers + 1;
+  // is < 2x the trigger. Only the analyze pool's threads write.
+  const std::uint64_t writers = options.analyze_workers;
   const std::uint64_t bound = writers * options.shard.shards * 2 * trigger;
 
   auto run = run_end_to_end(options);

@@ -1,6 +1,7 @@
-// Chaos for the streamed pipeline: kill it mid-stream and resume from the
-// checkpoint; run it over a faulty transport; in every case the converged
-// canonical analysis report must be byte-identical to an undisturbed run.
+// Chaos for the end-to-end pipeline: kill it mid-download and resume from
+// the checkpoint; run it over a faulty transport; in every case the
+// converged canonical analysis report must be byte-identical to an
+// undisturbed run.
 //
 // Mirrors the paper's operational reality — a weeks-long crawl that was
 // killed, resumed, and rate-limited — on top of the seeded fault injector,
@@ -15,6 +16,7 @@
 
 #include "dockmine/core/pipeline.h"
 #include "dockmine/downloader/checkpoint.h"
+#include "dockmine/synth/materialize.h"
 
 namespace dockmine::core {
 namespace {
@@ -27,10 +29,29 @@ PipelineOptions chaos_options() {
   options.calibration = synth::Calibration::light();
   options.scale = synth::Scale{60, kSeed};
   options.gzip_level = 1;
-  options.mode = ExecutionMode::kStreamed;
-  options.queue_depth = 4;
   return options;
 }
+
+/// A registry that sets `cancel` once it has served `limit` blob fetches:
+/// the kill lands while downloads are still in flight.
+class KillAfterFetches : public registry::Service {
+ public:
+  KillAfterFetches(std::atomic<bool>& cancel, std::uint64_t limit)
+      : cancel_(cancel), limit_(limit) {}
+
+  util::Result<blob::BlobPtr> fetch_blob(
+      const digest::Digest& digest) override {
+    if (fetches_.fetch_add(1, std::memory_order_relaxed) + 1 >= limit_) {
+      cancel_.store(true, std::memory_order_relaxed);
+    }
+    return Service::fetch_blob(digest);
+  }
+
+ private:
+  std::atomic<bool>& cancel_;
+  const std::uint64_t limit_;
+  std::atomic<std::uint64_t> fetches_{0};
+};
 
 std::string fault_free_report() {
   static const std::string* report = [] {
@@ -41,32 +62,33 @@ std::string fault_free_report() {
   return *report;
 }
 
-TEST(StreamChaosTest, KillMidStreamThenResumeMatchesUninterruptedRun) {
+TEST(StreamChaosTest, KillMidDownloadThenResumeMatchesUninterruptedRun) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "stream_chaos_ckpt";
   std::filesystem::remove_all(dir);
 
-  std::uint64_t interrupted_analyzed = 0;
   {
     auto checkpoint = downloader::Checkpoint::open(dir);
     ASSERT_TRUE(checkpoint.ok());
 
-    // Kill: cancel the run once the analyzers have seen 25 layers, while
+    // Kill: cancel the run once the registry has served 25 blobs, while
     // downloads are still in flight.
     std::atomic<bool> cancel{false};
     PipelineOptions options = chaos_options();
+    KillAfterFetches service(cancel, 25);
+    const synth::HubModel hub(options.calibration, options.scale);
+    ASSERT_TRUE(
+        synth::Materializer(hub, options.gzip_level).populate(service).ok());
+    options.external_service = &service;
     options.checkpoint = &checkpoint.value();
     options.cancel = &cancel;
-    options.on_layer_analyzed = [&](std::uint64_t analyzed) {
-      if (analyzed >= 25) cancel.store(true, std::memory_order_relaxed);
-    };
 
     auto interrupted = run_end_to_end(options);
     ASSERT_TRUE(interrupted.ok());
     EXPECT_GT(interrupted.value().download.repos_canceled, 0u)
         << "the kill fired too late to cancel anything";
-    interrupted_analyzed = interrupted.value().stream.layers_analyzed;
-    EXPECT_GE(interrupted_analyzed, 25u);
+    EXPECT_GT(interrupted.value().download.succeeded, 0u)
+        << "the kill fired before any repository completed";
   }
 
   // Resume: a fresh process reopens the checkpoint. Completed repositories
@@ -138,31 +160,33 @@ TEST(StreamChaosTest, CorruptionIsAccountedNotSilentlyAnalyzed) {
                 result.fault_stats.injected_bitflip,
             0u);
   // Corrupt transfers were detected and discarded; whatever was analyzed
-  // came from verified bytes only, so the profiles referenced by delivered
-  // manifests are a subset of the fault-free dataset.
+  // came from verified bytes only: exactly the unique layers the delivered
+  // manifests reference, each a layer of the fault-free dataset.
   EXPECT_GT(result.download.bytes_discarded, 0u);
-  EXPECT_EQ(result.stream.layers_analyzed,
-            static_cast<std::uint64_t>(result.layer_profiles.size()));
+  std::unordered_set<digest::Digest, digest::DigestHash> delivered;
+  for (const auto& manifest : result.manifests) {
+    for (const auto& ref : manifest.layers) delivered.insert(ref.digest);
+  }
+  EXPECT_EQ(result.layer_profiles.size(), delivered.size());
 }
 
 // Permanent corruption makes some images fail after their first layers
-// were already handed to the analyzers. Those files must not reach the
-// dedup index: the streamed report has to equal the serial one (serial
-// analyzes only the layers of delivered manifests), for both the
-// monolithic and the sharded index.
+// were already downloaded. Those files must not reach the dedup index: the
+// report has to equal the one-worker one, for both the monolithic and the
+// sharded index.
 TEST(StreamChaosTest, FilesOfUndeliveredImagesStayOutOfDedup) {
   registry::FaultSpec faults;
   faults.seed = 3;
   faults.p_truncate = 0.15;
   faults.p_bitflip = 0.15;
 
-  PipelineOptions serial_options = chaos_options();
-  serial_options.mode = ExecutionMode::kSerial;
-  serial_options.download_workers = 1;
-  serial_options.faults = &faults;
-  auto serial = run_end_to_end(serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.error().message();
-  const std::string golden = analysis_report_json(serial.value()).dump();
+  PipelineOptions reference_options = chaos_options();
+  reference_options.download_workers = 1;
+  reference_options.analyze_workers = 1;
+  reference_options.faults = &faults;
+  auto reference = run_end_to_end(reference_options);
+  ASSERT_TRUE(reference.ok()) << reference.error().message();
+  const std::string golden = analysis_report_json(reference.value()).dump();
 
   for (std::uint32_t shards : {0u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
@@ -170,12 +194,12 @@ TEST(StreamChaosTest, FilesOfUndeliveredImagesStayOutOfDedup) {
     options.download_workers = 1;
     options.faults = &faults;
     options.shard.shards = shards;
-    auto streamed = run_end_to_end(options);
-    ASSERT_TRUE(streamed.ok()) << streamed.error().message();
-    const PipelineResult& result = streamed.value();
+    auto run = run_end_to_end(options);
+    ASSERT_TRUE(run.ok()) << run.error().message();
+    const PipelineResult& result = run.value();
 
-    // The faults were permanent for some images, and the streamed run
-    // analyzed layers beyond those the delivered manifests reference.
+    // The faults were permanent for some images, and only the layers the
+    // delivered manifests reference were analyzed.
     ASSERT_LT(result.download.succeeded, result.download.attempted);
     std::unordered_set<digest::Digest, digest::DigestHash> delivered;
     std::uint64_t delivered_files = 0;
@@ -187,7 +211,7 @@ TEST(StreamChaosTest, FilesOfUndeliveredImagesStayOutOfDedup) {
         delivered_files += profile->file_count;
       }
     }
-    EXPECT_GT(result.layer_profiles.size(), delivered.size());
+    EXPECT_EQ(result.layer_profiles.size(), delivered.size());
 
     const std::uint64_t total_files =
         shards == 0 ? result.file_index->totals().total_files

@@ -8,10 +8,10 @@
 //      never move, and the re-push fraction sits in the configured band.
 //   2. Epoch equivalence: after apply_epoch(K), the incrementally
 //      maintained analysis report is byte-identical to a from-scratch
-//      batch run over the epoch-K registry — for every seed, epoch depth,
-//      and batch execution mode (serial/staged/streamed, and the sharded
-//      dedup backend), because the canonical serializer is shared and
-//      built from order-independent aggregates only.
+//      batch run over the epoch-K registry — for every seed and epoch
+//      depth, with the monolithic and the sharded dedup backend, because
+//      the canonical serializer is shared and built from order-independent
+//      aggregates only.
 //   3. Crash shapes: a canceled epoch commits nothing; a re-applied epoch
 //      resumes verified blobs from the checkpoint; a full restart-replay
 //      (fresh analyzer, same checkpoint) reproduces the same bytes. The
@@ -115,7 +115,6 @@ struct Stack {
 /// The from-scratch side: rebuild the epoch-K registry and run the batch
 /// pipeline over it through the external-service hook.
 std::string batch_oracle_dump(std::uint64_t seed, std::uint32_t epoch,
-                              core::ExecutionMode mode,
                               std::uint32_t shards = 0,
                               std::uint64_t repos = kRepos) {
   synth::HubModel hub(synth::Calibration::light(), synth::Scale{repos, seed});
@@ -129,7 +128,6 @@ std::string batch_oracle_dump(std::uint64_t seed, std::uint32_t epoch,
   options.scale = synth::Scale{repos, seed};
   options.calibration = synth::Calibration::light();
   options.gzip_level = kGzip;
-  options.mode = mode;
   options.download_workers = 2;
   options.analyze_workers = 2;
   options.shard.shards = shards;
@@ -228,12 +226,9 @@ TEST(EpochModel, EvolvingRegistryReusesUnchangedBlobs) {
 
 // ---- 2. epoch equivalence ----------------------------------------------
 
-TEST(EpochEquivalence, IncrementalMatchesBatchForEverySeedDepthAndMode) {
+TEST(EpochEquivalence, IncrementalMatchesBatchForEverySeedAndDepth) {
   const std::uint64_t seeds[] = {20170530, 777, 424242};
   const std::uint32_t checkpoints[] = {1, 3, 8};
-  const core::ExecutionMode modes[] = {core::ExecutionMode::kSerial,
-                                       core::ExecutionMode::kStaged,
-                                       core::ExecutionMode::kStreamed};
   for (const std::uint64_t seed : seeds) {
     Stack stack(seed);
     std::uint32_t next = 0;
@@ -244,11 +239,8 @@ TEST(EpochEquivalence, IncrementalMatchesBatchForEverySeedDepthAndMode) {
       }
       const std::string incremental = stack.report_dump();
       ASSERT_FALSE(incremental.empty());
-      for (const core::ExecutionMode mode : modes) {
-        EXPECT_EQ(incremental, batch_oracle_dump(seed, epoch, mode))
-            << "seed " << seed << " epoch " << epoch << " mode "
-            << static_cast<int>(mode);
-      }
+      EXPECT_EQ(incremental, batch_oracle_dump(seed, epoch))
+          << "seed " << seed << " epoch " << epoch;
     }
   }
 }
@@ -260,8 +252,7 @@ TEST(EpochEquivalence, HoldsAgainstTheShardedDedupBackend) {
     ASSERT_TRUE(delta.ok()) << delta.error().to_string();
   }
   EXPECT_EQ(stack.report_dump(),
-            batch_oracle_dump(20170530, 3, core::ExecutionMode::kStaged,
-                              /*shards=*/2));
+            batch_oracle_dump(20170530, 3, /*shards=*/2));
 }
 
 TEST(EpochEquivalence, DeltasActuallyShrinkTheWork) {
@@ -482,7 +473,7 @@ TEST(ServeTemporal, IngestEpochAdvancesAndMatchesTheBatchOracle) {
   ASSERT_TRUE(served.ok());
   ASSERT_TRUE(served.value().ok) << served.value().error;
   EXPECT_EQ(served.value().body.dump(),
-            batch_oracle_dump(20170530, 2, core::ExecutionMode::kStaged));
+            batch_oracle_dump(20170530, 2));
 
   // Restart replay: a second daemon over the same state dir and a fresh
   // stack must reproduce the full pre-crash report byte-for-byte

@@ -1,6 +1,6 @@
 // Event-level tracing suite (DESIGN.md §11): the TraceJournal and
-// everything stacked on it — deterministic serial traces, cross-queue
-// context propagation in the streamed pipeline, critical-path attribution,
+// everything stacked on it — deterministic one-worker traces, parent
+// resolution across the pipeline's worker pools, critical-path attribution,
 // ring bounding, the tracing-changes-nothing report invariant, multi-node
 // obs export + merge-obs folding, the heartbeat emitter, and the metrics
 // JSON wire round-trip. Runs in the -DDOCKMINE_OBS=OFF tree too, where
@@ -70,15 +70,16 @@ struct TracingScope {
   }
 };
 
-/// Run the pipeline with tracing on a virtual wall clock (cpu reads 0) and
-/// return the journal's exported trace document.
+/// Run the pipeline with one worker per stage and tracing on a virtual
+/// wall clock (cpu reads 0); return the journal's exported trace document.
 std::string traced_serial_dump(std::uint64_t seed) {
   TracingScope tracing;
   auto tick = std::make_shared<std::atomic<double>>(0.0);
   obs::set_clock([tick] { return tick->fetch_add(1.0); });
 
   core::PipelineOptions options = small_options(seed);
-  options.mode = core::ExecutionMode::kSerial;
+  options.download_workers = 1;
+  options.analyze_workers = 1;
   auto run = core::run_end_to_end(options);
   EXPECT_TRUE(run.ok());
   return obs::trace_to_json().dump();
@@ -104,8 +105,6 @@ TEST(TraceJournalTest, SerialSeededRunsExportByteIdenticalTraces) {
 TEST(TraceJournalTest, EveryParentIdResolvesWithinItsTrace) {
   TracingScope tracing;
   core::PipelineOptions options = small_options(7);
-  options.mode = core::ExecutionMode::kStreamed;
-  options.queue_depth = 4;
   auto run = core::run_end_to_end(options);
   ASSERT_TRUE(run.ok());
 
@@ -130,63 +129,9 @@ TEST(TraceJournalTest, EveryParentIdResolvesWithinItsTrace) {
   }
 }
 
-// ---------- streamed context propagation ----------
-
-TEST(TraceJournalTest, StreamedAnalyzeParentsToItsDownloadAcrossQueue) {
-  TracingScope tracing;
-  core::PipelineOptions options = small_options(11);
-  options.mode = core::ExecutionMode::kStreamed;
-  options.queue_depth = 4;
-  options.download_workers = 3;
-  options.analyze_workers = 2;
-  auto run = core::run_end_to_end(options);
-  ASSERT_TRUE(run.ok());
-
-  const auto events = obs::TraceJournal::global().snapshot();
-  if constexpr (!obs::kCompiledIn) {
-    EXPECT_TRUE(events.empty());
-    return;
-  }
-
-  std::unordered_map<std::uint64_t, const obs::TraceEvent*> by_span;
-  for (const auto& event : events) by_span[event.span_id] = &event;
-
-  std::size_t analyzed = 0, waits = 0;
-  for (const auto& event : events) {
-    if (event.name == "analyze_layer") {
-      ++analyzed;
-      // The whole point of the hand-off propagation: analysis of a layer is
-      // a child of that layer's download, even though a different thread
-      // popped it off the bounded queue.
-      const auto parent = by_span.find(event.parent_id);
-      ASSERT_NE(parent, by_span.end()) << "orphan analyze_layer";
-      EXPECT_EQ(parent->second->name, "download_layer");
-      EXPECT_EQ(parent->second->trace_id, event.trace_id);
-    }
-    if (event.kind == obs::EventKind::kQueueWait) {
-      ++waits;
-      EXPECT_TRUE(event.name == "queue_wait" ||
-                  event.name == "queue_push_wait")
-          << event.name;
-    }
-  }
-  EXPECT_GT(analyzed, 0u);
-  EXPECT_GT(waits, 0u);
-
-  // Queue waits are first-class in the aggregate half too: the hand-off
-  // histogram shows up in the Prometheus exposition.
-  const std::string prom = obs::to_prometheus(obs::collect());
-  EXPECT_NE(prom.find("# TYPE dockmine_pipeline_queue_wait_ms histogram"),
-            std::string::npos);
-  EXPECT_NE(prom.find("dockmine_pipeline_queue_wait_ms_count"),
-            std::string::npos);
-}
-
 TEST(TraceJournalTest, CriticalPathAttributesAtLeast95PercentOfWall) {
   TracingScope tracing;
   core::PipelineOptions options = small_options(13);
-  options.mode = core::ExecutionMode::kStreamed;
-  options.queue_depth = 4;
   auto run = core::run_end_to_end(options);
   ASSERT_TRUE(run.ok());
 
@@ -212,37 +157,28 @@ TEST(TraceJournalTest, CriticalPathAttributesAtLeast95PercentOfWall) {
   // The decomposition names real pipeline work, not container stages.
   std::set<std::string> names;
   for (const auto& entry : crit.entries) names.insert(entry.name);
-  EXPECT_FALSE(names.count("stream"));
+  EXPECT_FALSE(names.count("download"));
+  EXPECT_FALSE(names.count("analyze"));
 }
 
 // ---------- tracing changes nothing ----------
 
 TEST(TraceJournalTest, AnalysisReportsIdenticalWithTracingOnAndOff) {
-  const std::uint64_t seed = 20170530;
-  for (const core::ExecutionMode mode :
-       {core::ExecutionMode::kSerial, core::ExecutionMode::kStaged,
-        core::ExecutionMode::kStreamed}) {
-    core::PipelineOptions options = small_options(seed);
-    options.mode = mode;
-    options.queue_depth = 4;
+  const core::PipelineOptions options = small_options(20170530);
+  auto plain = core::run_end_to_end(options);
+  ASSERT_TRUE(plain.ok());
 
-    auto plain = core::run_end_to_end(options);
-    ASSERT_TRUE(plain.ok());
-
-    std::string traced_report;
-    {
-      TracingScope tracing;
-      auto traced = core::run_end_to_end(options);
-      ASSERT_TRUE(traced.ok());
-      traced_report = core::analysis_report_json(traced.value()).dump();
-      if constexpr (obs::kCompiledIn) {
-        EXPECT_GT(obs::TraceJournal::global().recorded(), 0u);
-      }
+  std::string traced_report;
+  {
+    TracingScope tracing;
+    auto traced = core::run_end_to_end(options);
+    ASSERT_TRUE(traced.ok());
+    traced_report = core::analysis_report_json(traced.value()).dump();
+    if constexpr (obs::kCompiledIn) {
+      EXPECT_GT(obs::TraceJournal::global().recorded(), 0u);
     }
-    EXPECT_EQ(core::analysis_report_json(plain.value()).dump(),
-              traced_report)
-        << "mode " << static_cast<int>(mode);
   }
+  EXPECT_EQ(core::analysis_report_json(plain.value()).dump(), traced_report);
 }
 
 // ---------- ring bounding ----------
@@ -443,7 +379,8 @@ TEST(TraceJournalTest, MetricsJsonRoundTripsThroughParseExactly) {
   obs::set_clock([tick] { return tick->fetch_add(1.0); });
   obs::set_enabled(true);
   core::PipelineOptions options = small_options(5);
-  options.mode = core::ExecutionMode::kSerial;
+  options.download_workers = 1;
+  options.analyze_workers = 1;
   auto run = core::run_end_to_end(options);
   obs::set_enabled(false);
   obs::reset_clock();

@@ -27,7 +27,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <unordered_map>
 
 #include "dockmine/blob/disk_store.h"
@@ -73,15 +72,13 @@ synth::Calibration calibration_from(const Flags& flags) {
                              : synth::Calibration::paper();
 }
 
-/// --mode (default staged). An unknown value prints `verb`'s usage error
-/// and yields nullopt; callers exit 2.
-std::optional<core::ExecutionMode> mode_from(const Flags& flags,
-                                             const char* verb) {
-  const auto mode = core::parse_execution_mode(flags.str("mode", "staged"));
-  if (!mode) {
-    std::cerr << verb << ": --mode must be serial, staged, or streamed\n";
-  }
-  return mode;
+/// A flag this CLI no longer takes, or nullptr. Flags ignores names it
+/// does not read, so a removed flag would otherwise run silently with the
+/// defaults instead of what the caller asked for.
+const char* removed_flag(const std::string& command, const Flags& flags) {
+  if (flags.has("mode")) return "mode";
+  if (command == "metrics" && flags.has("depth")) return "depth";
+  return nullptr;
 }
 
 int cmd_analyze(const Flags& flags) {
@@ -365,11 +362,6 @@ int cmd_metrics(const Flags& flags) {
   options.download_workers = flags.u64("workers", 4);
   options.analyze_workers = flags.u64("workers", 4);
 
-  const auto mode = mode_from(flags, "metrics");
-  if (!mode) return 2;
-  options.mode = *mode;
-  options.queue_depth = flags.u64("depth", 16);
-
   options.shard.shards = static_cast<std::uint32_t>(flags.u64("shards", 0));
   options.shard.spill_threshold_bytes = flags.u64("spill-mb", 64) << 20;
   options.shard.spill_dir = flags.str("spill-dir");
@@ -437,8 +429,7 @@ int cmd_metrics(const Flags& flags) {
   } else if (format == "prom") {
     std::cout << obs::to_prometheus(report);
   } else {
-    std::cout << "metrics for an end-to-end "
-              << core::execution_mode_name(options.mode) << " run over "
+    std::cout << "metrics for an end-to-end run over "
               << options.scale.repositories << " repositories\n";
     core::print_metrics(std::cout, report);
     if (!trace_out.empty() && crit.root_wall_ms > 0.0) {
@@ -456,13 +447,6 @@ int cmd_metrics(const Flags& flags) {
                   crit.root_self_ms,
                   100.0 * crit.root_self_ms / crit.root_wall_ms);
       std::cout << "trace written to " << trace_out << "\n";
-    }
-    if (options.mode == core::ExecutionMode::kStreamed) {
-      const auto& stream = result.value().stream;
-      std::cout << "stream: " << stream.layers_analyzed << " layers through a "
-                << stream.queue_capacity << "-deep queue (peak "
-                << stream.queue_peak << ", " << stream.producer_stalls
-                << " producer stalls)\n";
     }
     const auto& sharded = result.value().shard_summary;
     if (sharded.enabled) {
@@ -660,8 +644,6 @@ int cmd_evolve(const Flags& flags) {
                                              : synth::Calibration::light();
   const int gzip_level = static_cast<int>(flags.u64("gzip", 1));
   const auto epochs = static_cast<std::uint32_t>(flags.u64("epochs", 4));
-  const auto exec_mode = mode_from(flags, "evolve");
-  if (!exec_mode) return 2;
 
   TemporalStack stack(calibration, scale, gzip_level);
   temporal::TrendReport trend;
@@ -699,7 +681,6 @@ int cmd_evolve(const Flags& flags) {
       options.scale = scale;
       options.calibration = calibration;
       options.gzip_level = gzip_level;
-      options.mode = *exec_mode;
       options.download_workers = flags.u64("workers", 4);
       options.analyze_workers = flags.u64("workers", 4);
       options.external_service = &oracle_service;
@@ -744,14 +725,9 @@ int cmd_evolve(const Flags& flags) {
   return 0;
 }
 
-/// The job flags shared by serve and coordinate; nullopt (after `verb`'s
-/// usage error) on an unknown --mode.
-std::optional<core::JobSpec> job_spec_from(const Flags& flags,
-                                           const char* verb) {
-  const auto mode = mode_from(flags, verb);
-  if (!mode) return std::nullopt;
+/// The job flags shared by serve and coordinate.
+core::JobSpec job_spec_from(const Flags& flags) {
   core::JobSpec spec;
-  spec.mode = *mode;
   spec.repositories = flags.u64("repos", 120);
   spec.seed = flags.u64("seed", 20170530);
   spec.light_calibration = !flags.flag("paper");
@@ -763,10 +739,8 @@ std::optional<core::JobSpec> job_spec_from(const Flags& flags,
 }
 
 int cmd_serve(const Flags& flags) {
-  auto job = job_spec_from(flags, "serve");
-  if (!job) return 2;
   core::serve::ServeOptions options;
-  options.job = *job;
+  options.job = job_spec_from(flags);
   if (flags.str("repos").empty()) options.job.repositories = 40;
   options.state_dir = flags.str("state-dir", "dockmine-serve-state");
   options.port = static_cast<std::uint16_t>(flags.u64("port", 0));
@@ -955,10 +929,8 @@ int cmd_worker(const Flags& flags) {
 }
 
 int cmd_coordinate(const Flags& flags) {
-  auto spec = job_spec_from(flags, "coordinate");
-  if (!spec) return 2;
   core::CoordinatorOptions options;
-  options.spec = *spec;
+  options.spec = job_spec_from(flags);
   options.leases = static_cast<std::uint32_t>(flags.u64("leases", 3));
   options.work_dir = flags.str("work-dir", "dockmine-coordinate");
   options.port = static_cast<std::uint16_t>(flags.u64("port", 0));
@@ -1090,8 +1062,8 @@ int usage() {
       "  report   [--repos N] [--seed S]   paper-vs-measured summary\n"
       "  dedup    [--repos N] [--seed S] [--light]\n"
       "  serve    [--repos N] [--seed S] [--port P] [--state-dir DIR]\n"
-      "           [--paper] [--shards N] [--mode serial|staged|streamed]\n"
-      "           [--io-timeout-ms N] [--slowloris-ms N] [--report-out F]\n"
+      "           [--paper] [--shards N] [--io-timeout-ms N]\n"
+      "           [--slowloris-ms N] [--report-out F]\n"
       "           [--temporal]   long-lived query/ingest daemon; with\n"
       "           --temporal it serves an evolving registry and accepts\n"
       "           ingest-epoch instead of batch ingest\n"
@@ -1110,17 +1082,16 @@ int usage() {
       "           live daemon monitor: per-interval request rates,\n"
       "           latency quantiles, alert + journal state\n"
       "  evolve   [--repos N] [--seed S] [--epochs K] [--paper] [--gzip L]\n"
-      "           [--mode serial|staged|streamed] [--verify]\n"
-      "           [--trend-out F]   evolve the registry K epochs with\n"
-      "           incremental delta analysis; --verify pins each epoch's\n"
-      "           report byte-for-byte against a from-scratch batch run\n"
+      "           [--verify] [--trend-out F]   evolve the registry K\n"
+      "           epochs with incremental delta analysis; --verify pins\n"
+      "           each epoch's report byte-for-byte against a\n"
+      "           from-scratch batch run\n"
       "  serve-registry [--repos N] [--port P] [--workers W] [--light]\n"
       "           [--max-requests N]   HTTP registry for crawl/pull\n"
       "  crawl    --port P [--token T] [--page-size K] [--list]\n"
       "  pull     --port P [--token T] [--workers W]\n"
       "  export   --out DIR [--repos N] [--light] [--gzip L]\n"
       "  metrics  [--repos N] [--seed S] [--workers W] [--paper]\n"
-      "           [--mode serial|staged|streamed] [--depth N]\n"
       "           [--shards N] [--spill-mb M] [--spill-dir PATH]\n"
       "           [--export-shards DIR] [--nodes K] [--node I]\n"
       "           [--trace-out trace.json] [--trace-cap N]\n"
@@ -1132,8 +1103,7 @@ int usage() {
       "           report with straggler deltas [--format table|json|prom]\n"
       "  gc       --dir STORE [live-manifest.json ...]\n"
       "  coordinate [--leases K] [--spawn-workers W] [--work-dir DIR]\n"
-      "           [--repos N] [--seed S] [--paper] [--shards N]\n"
-      "           [--mode serial|staged|streamed] [--port P]\n"
+      "           [--repos N] [--seed S] [--paper] [--shards N] [--port P]\n"
       "           [--heartbeat-deadline-ms N] [--max-attempts N]\n"
       "           [--chaos-kill-worker I] [--chaos-hang-worker I]\n"
       "           [--duplicate-every-lease] [--verify-serial] [--out F]\n"
@@ -1152,6 +1122,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Flags flags = Flags::parse(argc, argv, 2);
+  if (const char* removed = removed_flag(command, flags)) {
+    std::cerr << command << ": --" << removed
+              << " was removed; every run downloads, then analyzes\n";
+    return 2;
+  }
   if (command == "analyze") return cmd_analyze(flags);
   if (command == "report") return cmd_report(flags);
   if (command == "dedup") return cmd_dedup(flags);

@@ -43,6 +43,7 @@ class Flags {
     return it == values_.end() ? fallback
                                : std::strtoull(it->second.c_str(), nullptr, 10);
   }
+  bool has(const std::string& name) const { return values_.count(name) != 0; }
   bool flag(const std::string& name) const {
     const auto it = values_.find(name);
     return it != values_.end() && it->second != "false";

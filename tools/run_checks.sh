@@ -24,9 +24,9 @@ echo "== [1/3] tier-1 suite (default build) =="
 configure_and_build "${build_root}/default"
 ctest --test-dir "${build_root}/default" -L tier1 --output-on-failure -j "${jobs}"
 
-echo "== [2/3] TSan: streaming + resilience + obs suites =="
+echo "== [2/3] TSan: pipeline + resilience + obs suites =="
 configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
-"${build_root}/tsan/tests/stream_equivalence_test"
+"${build_root}/tsan/tests/worker_equivalence_test"
 "${build_root}/tsan/tests/stream_chaos_test"
 "${build_root}/tsan/tests/resilience_test"
 "${build_root}/tsan/tests/obs_test"
