@@ -10,10 +10,6 @@
 #include "dockmine/analyzer/profile.h"
 #include "dockmine/util/error.h"
 
-namespace dockmine::mem {
-class Arena;
-}
-
 namespace dockmine::analyzer {
 
 using FileVisitor = std::function<void(std::string_view path,
@@ -48,24 +44,23 @@ class LayerAnalyzer {
   LayerAnalyzer() = default;
   explicit LayerAnalyzer(Options options) : options_(options) {}
 
-  /// Analyze a compressed layer blob. `visitor` (optional) receives every
-  /// regular file. The returned profile's `digest` is the SHA-256 of the
-  /// blob and `cls` its size. `scratch`, when given, backs the per-layer
-  /// directory map (keys interned, nodes bump-allocated) — the caller owns
-  /// the arena and must reset() it between layers (DESIGN.md §14); results
-  /// are identical with or without it.
+  /// Analyze a compressed layer blob: gunzip it whole, then analyze_tar.
+  /// `visitor` (optional) receives every regular file. The returned
+  /// profile's `digest` is the SHA-256 of the blob and `cls` its size.
   util::Result<LayerProfile> analyze_blob(
       std::string_view gzip_blob, const FileVisitor* visitor = nullptr,
       const DirectoryVisitor* dir_visitor = nullptr,
-      Timing* timing = nullptr, mem::Arena* scratch = nullptr) const;
+      Timing* timing = nullptr) const;
 
-  /// Analyze an already-uncompressed tar archive (cls/digest filled by the
-  /// caller if known). `dir_visitor`, when given, receives every explicit
-  /// directory with its direct-child file count after the walk.
+  /// Analyze an already-uncompressed tar archive in one walk (cls/digest
+  /// filled by the caller if known). `dir_visitor`, when given, receives
+  /// every directory, explicit or implied by a file's path, with its
+  /// direct-child file count, in path order after the walk. Without it no
+  /// directory map is built.
   util::Result<LayerProfile> analyze_tar(
       std::string_view tar_bytes, const FileVisitor* visitor = nullptr,
       const DirectoryVisitor* dir_visitor = nullptr,
-      Timing* timing = nullptr, mem::Arena* scratch = nullptr) const;
+      Timing* timing = nullptr) const;
 
  private:
   Options options_{};

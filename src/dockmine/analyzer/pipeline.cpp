@@ -6,7 +6,6 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "dockmine/mem/arena.h"
 #include "dockmine/obs/journal.h"
 #include "dockmine/obs/obs.h"
 #include "dockmine/obs/span.h"
@@ -104,18 +103,9 @@ void Session::analyze(const std::string& gzip_blob) {
     return span_base_.empty() ? std::string(name) : span_base_ + "/" + name;
   };
 
-  // Per-layer scratch: each pool thread owns one arena, reset at the end
-  // of every layer (DESIGN.md §14). Nothing allocated below may escape
-  // this call.
-  static thread_local mem::Arena scratch;
-  struct ResetGuard {
-    mem::Arena& arena;
-    ~ResetGuard() { arena.reset(); }
-  } reset_guard{scratch};
-
-  // Buffer file records locally; flush in batches to bound lock traffic.
-  std::vector<FileRecord, mem::ArenaAllocator<FileRecord>> batch{
-      mem::ArenaAllocator<FileRecord>(scratch)};
+  // The layer's file records, delivered in one call after the whole layer
+  // has been analyzed.
+  std::vector<FileRecord> batch;
   FileVisitor visitor = [&](std::string_view, const FileRecord& record) {
     batch.push_back(record);
   };
@@ -123,7 +113,7 @@ void Session::analyze(const std::string& gzip_blob) {
   const double start_ms = timed_ ? obs::now_ms() : 0.0;
   auto profile = analyzer_.analyze_blob(
       gzip_blob, sink_.on_layer_files ? &visitor : nullptr,
-      /*dir_visitor=*/nullptr, timed_ ? &timing : nullptr, &scratch);
+      /*dir_visitor=*/nullptr, timed_ ? &timing : nullptr);
   if (timed_) {
     const double total_ms = obs::now_ms() - start_ms;
     metrics.layer_ms.observe(total_ms);

@@ -145,9 +145,9 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
 
   // --- download, barrier, analyze ---
   std::optional<shard::ShardedDedupIndex> sharded;
-  if (options.run_file_dedup && options.shard.enabled()) {
+  if (options.shard.enabled()) {
     sharded.emplace(options.shard);
-  } else if (options.run_file_dedup) {
+  } else {
     result.file_index = std::make_unique<dedup::FileDedupIndex>(1 << 16);
   }
   std::unordered_map<std::uint64_t, std::uint32_t> layer_dense;

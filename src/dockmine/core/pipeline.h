@@ -48,7 +48,6 @@ struct PipelineOptions {
   std::size_t download_workers = 4;
   std::size_t analyze_workers = 2;
   int gzip_level = 6;
-  bool run_file_dedup = true;
 
   /// Optional crash/resume record; not owned, must outlive the run. With a
   /// checkpoint attached, completed repositories are replayed from disk on

@@ -9,7 +9,6 @@
 // dataset, and shutdown drains remaining work.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -36,19 +35,6 @@ class BoundedQueue {
     not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
     if (closed_) return false;
     items_.push_back(std::move(item));
-    peak_ = std::max(peak_, items_.size());
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push. False if full or closed (item left untouched so the
-  /// caller can fall back to the blocking push and count the stall).
-  bool try_push(T& item) {
-    std::unique_lock lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    peak_ = std::max(peak_, items_.size());
     lock.unlock();
     not_empty_.notify_one();
     return true;
@@ -66,17 +52,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::unique_lock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   void close() {
     {
       std::lock_guard lock(mutex_);
@@ -86,32 +61,12 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const noexcept { return capacity_; }
-
-  /// High-water mark of items resident at once — the measured peak blob
-  /// residency of a streaming run (never exceeds capacity()).
-  std::size_t peak() const {
-    std::lock_guard lock(mutex_);
-    return peak_;
-  }
-
-  bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<T> items_;
   std::size_t capacity_;
-  std::size_t peak_ = 0;
   bool closed_ = false;
 };
 

@@ -111,17 +111,5 @@ TEST_F(PipelineFixture, ServiceSawExpectedTraffic) {
   EXPECT_EQ(result->service.unauthorized, result->download.failed_auth);
 }
 
-TEST(PipelineOptionsTest, DedupCanBeDisabled) {
-  PipelineOptions options;
-  options.calibration = synth::Calibration::light();
-  options.scale = synth::Scale{30, 5};
-  options.gzip_level = 1;
-  options.run_file_dedup = false;
-  auto run = run_end_to_end(options);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().file_index, nullptr);
-  EXPECT_GT(run.value().images.size(), 0u);
-}
-
 }  // namespace
 }  // namespace dockmine::core

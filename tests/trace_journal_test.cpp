@@ -129,7 +129,7 @@ TEST(TraceJournalTest, EveryParentIdResolvesWithinItsTrace) {
   }
 }
 
-TEST(TraceJournalTest, CriticalPathAttributesAtLeast95PercentOfWall) {
+TEST(TraceJournalTest, CriticalPathLeavesAtMost10PercentToRootSelf) {
   TracingScope tracing;
   core::PipelineOptions options = small_options(13);
   auto run = core::run_end_to_end(options);
@@ -142,10 +142,12 @@ TEST(TraceJournalTest, CriticalPathAttributesAtLeast95PercentOfWall) {
     return;
   }
   ASSERT_GT(crit.root_wall_ms, 0.0);
-  // The walk tiles the root interval exactly, so attribution is complete
-  // by construction; the acceptance bound is >= 95%.
-  EXPECT_GE(crit.attributed_ms, 0.95 * crit.root_wall_ms);
-  EXPECT_LE(crit.attributed_ms, crit.root_wall_ms * (1.0 + 1e-9));
+  // The walk tiles the root interval exactly.
+  EXPECT_NEAR(crit.attributed_ms, crit.root_wall_ms, 1e-9 * crit.root_wall_ms);
+  // Root self is wall time no download or analysis event covers. It reads
+  // 1-4% at this scale, the top of that under TSan, so the bound is 10%;
+  // bench_pipeline_end2end holds a larger run to 5%.
+  EXPECT_LE(crit.root_self_ms, 0.10 * crit.root_wall_ms);
   ASSERT_FALSE(crit.entries.empty());
   double entry_sum = crit.root_self_ms;
   for (const auto& entry : crit.entries) {

@@ -37,7 +37,6 @@ configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/serve_test"
 "${build_root}/tsan/tests/serve_chaos_test"
 "${build_root}/tsan/tests/timeseries_test"
-"${build_root}/tsan/tests/arena_test"
 "${build_root}/tsan/tests/temporal_test"
 # The sharded-dedup suites under maximum spill churn.
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_test"
