@@ -86,9 +86,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(r.download.succeeded),
       util::format_bytes(r.download.bytes_downloaded).c_str(), wall,
       r.layer_profiles.size(),
-      r.file_index
-          ? core::fmt_pct(r.file_index->totals().unique_file_fraction()).c_str()
-          : "n/a",
+      core::fmt_pct(r.shard_dedup->totals.unique_file_fraction()).c_str(),
       r.service.simulated_ms / 1000.0);
 
   // --- event-level tracing: overhead guard + trace.json ---------------------
@@ -220,8 +218,7 @@ int main(int argc, char** argv) {
     full.set("unique_layers", static_cast<std::uint64_t>(
                                   r.layer_profiles.size()));
     full.set("unique_file_fraction",
-             r.file_index ? r.file_index->totals().unique_file_fraction()
-                          : 0.0);
+             r.shard_dedup->totals.unique_file_fraction());
     doc.set("full_run", std::move(full));
 
     auto trace = json::Value::object();

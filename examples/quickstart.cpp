@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
             << " unique layers profiled across " << r.images.size()
             << " images\n";
 
-  const auto totals = r.file_index->totals();
+  const dedup::DedupTotals& totals = r.shard_dedup->totals;
   std::cout << "dedup:      " << util::format_count(totals.total_files)
             << " files, " << util::format_count(totals.unique_files)
             << " unique (" << util::format_percent(totals.unique_file_fraction())
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
             << util::format_bytes(r.sharing.physical_bytes())
             << " stored)\n";
 
-  const dedup::TypeBreakdown breakdown(*r.file_index);
+  const dedup::TypeBreakdown& breakdown = r.shard_dedup->by_type;
   std::cout << "\nfile types (count / capacity):\n";
   for (std::size_t g = 0; g < filetype::kGroupCount; ++g) {
     const auto group = static_cast<filetype::Group>(g);

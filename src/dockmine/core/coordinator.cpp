@@ -76,18 +76,19 @@ struct WorkerConn {
 /// chaos tests' byte-identical-report oracle. Two executions of the same
 /// lease must collide here; `duplicate_mismatches` counts violations.
 std::string result_digest(const wire::LeaseResult& result) {
+  const NodeContribution& node = result.contribution;
   std::vector<std::string> parts;
-  parts.reserve(result.images.size() + result.manifests.size() +
-                result.layer_profiles.size());
-  for (const auto& image : result.images)
+  parts.reserve(node.images.size() + node.manifests.size() +
+                node.layer_profiles.size());
+  for (const auto& image : node.images)
     parts.push_back("i:" + wire::image_profile_to_json(image).dump());
-  for (const auto& manifest : result.manifests)
+  for (const auto& manifest : node.manifests)
     parts.push_back("m:" + registry::manifest_to_json(manifest));
-  for (const auto& profile : result.layer_profiles)
+  for (const auto& profile : node.layer_profiles)
     parts.push_back("l:" + wire::layer_profile_to_json(profile).dump());
   std::sort(parts.begin(), parts.end());
   std::string text = "lease:" + std::to_string(result.lease) +
-                     "|pushed:" + std::to_string(result.manifests_pushed);
+                     "|pushed:" + std::to_string(node.manifests_pushed);
   for (const std::string& part : parts) {
     text.push_back('\n');
     text += part;
@@ -322,14 +323,8 @@ struct Coordinator::Impl {
     }
     digests[result.lease] = digest;
 
-    NodeContribution contribution;
-    contribution.images = std::move(result.images);
-    contribution.manifests = std::move(result.manifests);
-    contribution.layer_profiles = std::move(result.layer_profiles);
-    contribution.manifests_pushed = result.manifests_pushed;
-    contribution.shard_set_dir = conn.pending_dir;
-    contribution.shard_summary = result.shard_summary;
-    contributions[result.lease] = std::move(contribution);
+    result.contribution.shard_set_dir = conn.pending_dir;
+    contributions[result.lease] = std::move(result.contribution);
 
     if (result.obs_export.is_object()) {
       const std::string path =
@@ -592,6 +587,8 @@ Coordinator::~Coordinator() {
 }
 
 util::Status Coordinator::bind() {
+  if (auto valid = check_job_spec(impl_->options.spec); !valid.ok())
+    return valid;
   std::error_code ec;
   std::filesystem::create_directories(impl_->options.work_dir, ec);
   if (ec) {
@@ -652,9 +649,9 @@ util::Result<CoordinatorReport> Coordinator::run() {
   impl.stats.elapsed_ms = mono_ms() - start_ms;
   if (impl.failure) return *impl.failure;
 
-  // Fold in lease order — the same input order the in-process multi-node
-  // combiner uses, so the merged report is byte-identical to its output
-  // (and to a serial single-process run).
+  // Fold in lease order — node order, as an in-process K-way split folds
+  // its runs — so the merged report is byte-identical to a serial
+  // single-process run.
   std::vector<NodeContribution> ordered;
   std::vector<std::string> obs_paths;
   ordered.reserve(impl.table.count());

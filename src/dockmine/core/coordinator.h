@@ -115,7 +115,9 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Bind the listener (no threads started — safe to fork workers after).
+  /// Check the job spec (check_job_spec: kInvalidArgument, nothing bound),
+  /// then bind the listener (no threads started — safe to fork workers
+  /// after).
   util::Status bind();
   std::uint16_t port() const noexcept;
 

@@ -1,8 +1,28 @@
 #include "dockmine/core/lease.h"
 
 #include <algorithm>
+#include <string>
 
 namespace dockmine::core {
+
+util::Status check_job_spec(const JobSpec& spec) {
+  util::Status status;
+  const auto check = [&status](const char* field, auto value,
+                               decltype(value) lo, decltype(value) hi) {
+    if (status.ok() && (value < lo || value > hi)) {
+      status = util::invalid_argument(
+          "job spec: " + std::string(field) + " must be in " +
+          std::to_string(lo) + ".." + std::to_string(hi) + ", got " +
+          std::to_string(value));
+    }
+  };
+  check("repositories", spec.repositories, 1, 100'000'000);
+  check("gzip_level", spec.gzip_level, 1, 9);
+  check("download_workers", spec.download_workers, 1, 256);
+  check("analyze_workers", spec.analyze_workers, 1, 256);
+  check("shards", spec.shards, 1, 4096);
+  return status;
+}
 
 PipelineOptions lease_pipeline_options(const JobSpec& spec,
                                        std::uint32_t node_index,
@@ -15,10 +35,10 @@ PipelineOptions lease_pipeline_options(const JobSpec& spec,
   options.gzip_level = spec.gzip_level;
   options.download_workers = spec.download_workers;
   options.analyze_workers = spec.analyze_workers;
-  options.shard.shards = spec.shards == 0 ? 1 : spec.shards;
+  options.shard.shards = spec.shards;
   options.shard.spill_threshold_bytes = spec.spill_threshold_bytes;
   // Spills land next to the exported runs so the whole lease result ships
-  // as one file set, exactly like the in-process multi-node split.
+  // as one file set.
   options.shard.spill_dir = export_dir;
   options.shard_export_dir = export_dir;
   options.node_count = node_count;

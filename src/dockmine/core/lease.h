@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "dockmine/core/pipeline.h"
@@ -43,9 +44,15 @@ struct JobSpec {
   int gzip_level = 1;
   std::size_t download_workers = 4;
   std::size_t analyze_workers = 2;
-  std::uint32_t shards = 4;       ///< sharded dedup backend (must be >= 1)
+  std::uint32_t shards = 4;       ///< sharded dedup store
   std::uint64_t spill_threshold_bytes = 64ull << 20;
 };
+
+/// The one range check on a JobSpec. The wire decoder, Coordinator::bind()
+/// and ServeDaemon::start() each run it before a spec is used, so a job no
+/// worker could execute is refused where it enters. kInvalidArgument names
+/// the first field out of range.
+util::Status check_job_spec(const JobSpec& spec);
 
 /// Pipeline options for one lease: node `node_index` of `node_count`,
 /// spilling and exporting its shard set into `export_dir`.

@@ -1,96 +1,25 @@
 #include "dockmine/core/multi_node.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
-#include "dockmine/obs/export.h"
-#include "dockmine/obs/journal.h"
 #include "dockmine/shard/merger.h"
 
 namespace dockmine::core {
 
-util::Result<MultiNodeResult> run_multi_node(const MultiNodeOptions& options) {
-  if (options.nodes == 0)
-    return util::invalid_argument("multi-node: need at least one node");
-  if (!options.base.shard.enabled())
-    return util::invalid_argument(
-        "multi-node: the sharded dedup backend must be enabled");
-  if (options.export_root.empty())
-    return util::invalid_argument("multi-node: export_root is required");
-
-  MultiNodeResult out;
-  out.node_results.reserve(options.nodes);
-  out.shard_set_dirs.reserve(options.nodes);
-
-  for (std::uint32_t node = 0; node < options.nodes; ++node) {
-    const std::string node_dir =
-        (std::filesystem::path(options.export_root) /
-         ("node-" + std::to_string(node)))
-            .string();
-    PipelineOptions node_options = options.base;
-    node_options.node_count = options.nodes;
-    node_options.node_index = node;
-    node_options.shard_export_dir = node_dir;
-    // Spills land next to the exported runs so the whole set ships as one
-    // directory.
-    node_options.shard.spill_dir = node_dir;
-    std::error_code ec;
-    std::filesystem::create_directories(node_dir, ec);
-    if (ec)
-      return util::internal("multi-node: cannot create " + node_dir);
-
-    // Per-node observability: each simulated node starts from a clean
-    // registry/tracer/journal with its node id baked into every metric
-    // snapshot and trace event, exactly as K separate processes would.
-    const bool export_obs = !options.obs_export_dir.empty() && obs::enabled();
-    if (export_obs) {
-      obs::reset_all();
-      obs::set_node_id(node);
-    }
-
-    auto result = run_end_to_end(node_options);
-    if (export_obs) {
-      const std::string obs_file =
-          (std::filesystem::path(options.obs_export_dir) /
-           ("obs-node-" + std::to_string(node) + ".json"))
-              .string();
-      std::filesystem::create_directories(options.obs_export_dir, ec);
-      std::ofstream file(obs_file, std::ios::binary | std::ios::trunc);
-      if (!file.is_open() || !(file << obs::to_json(obs::collect()).dump())) {
-        obs::reset_all();
-        return util::internal("multi-node: cannot write " + obs_file);
-      }
-      out.obs_export_files.push_back(obs_file);
-      obs::reset_all();  // node id back to 0; next node starts clean
-    }
-    if (!result.ok()) return std::move(result).error();
-    out.node_results.push_back(std::move(result).value());
-    out.shard_set_dirs.push_back(node_dir);
-  }
-
-  // --- recombine: union the nodes' delivered work ---
-  std::vector<NodeContribution> contributions;
-  contributions.reserve(out.node_results.size());
-  for (std::size_t node = 0; node < out.node_results.size(); ++node) {
-    PipelineResult& result = out.node_results[node];
-    NodeContribution contribution;
-    contribution.images = result.images;
-    contribution.manifests = result.manifests;
-    result.layer_profiles.for_each(
-        [&](const analyzer::LayerProfile& profile) {
-          contribution.layer_profiles.push_back(profile);
-        });
-    contribution.manifests_pushed = result.manifests_pushed;
-    contribution.shard_set_dir = out.shard_set_dirs[node];
-    contribution.shard_summary = result.shard_summary;
-    contributions.push_back(std::move(contribution));
-  }
-  auto combined = fold_contributions(contributions);
-  if (!combined.ok()) return std::move(combined).error();
-  out.combined = std::move(combined).value();
-  return out;
+NodeContribution contribution_of(PipelineResult&& result,
+                                 std::string shard_set_dir) {
+  NodeContribution contribution;
+  contribution.images = std::move(result.images);
+  contribution.manifests = std::move(result.manifests);
+  contribution.layer_profiles.reserve(result.layer_profiles.size());
+  result.layer_profiles.for_each([&](const analyzer::LayerProfile& profile) {
+    contribution.layer_profiles.push_back(profile);
+  });
+  contribution.manifests_pushed = result.manifests_pushed;
+  contribution.shard_set_dir = std::move(shard_set_dir);
+  contribution.shard_summary = std::move(result.shard_summary);
+  return contribution;
 }
 
 util::Result<PipelineResult> fold_contributions(
@@ -104,18 +33,7 @@ util::Result<PipelineResult> fold_contributions(
     for (const auto& profile : node.layer_profiles)
       combined.layer_profiles.put(profile);
   }
-  // Layer sharing is recomputed over the union of delivered manifests —
-  // the same fold run_end_to_end applies, so totals match a single run.
-  {
-    std::vector<dedup::LayerSharingAnalysis::LayerUse> uses;
-    for (const auto& manifest : combined.manifests) {
-      uses.clear();
-      for (const auto& ref : manifest.layers) {
-        uses.push_back({ref.digest.key64(), ref.compressed_size});
-      }
-      combined.sharing.add_image(uses);
-    }
-  }
+  combined.sharing = layer_sharing_of(combined.manifests);
 
   // --- fold the K exported shard sets into one exact dedup section ---
   shard::ShardMerger merger;
@@ -127,7 +45,6 @@ util::Result<PipelineResult> fold_contributions(
   if (!aggregates.ok()) return std::move(aggregates).error();
   combined.shard_summary.runs_merged = merger.stats().runs;
   combined.shard_dedup = std::move(aggregates).value();
-  combined.shard_summary.enabled = true;
   combined.shard_summary.shards =
       contributions.empty() ? 0 : contributions[0].shard_summary.shards;
   combined.shard_summary.distinct_contents =

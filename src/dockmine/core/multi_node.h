@@ -1,15 +1,16 @@
-// Multi-node simulation: split one analysis run across K pipeline
-// instances ("nodes"), each crawling the shared snapshot, downloading and
-// analyzing only its repository partition, and indexing only the layers it
-// owns under the deterministic ownership pass (DESIGN.md §10). Each node
-// freezes its sharded dedup index as an exported shard set; the combiner
-// folds the K sets — plus the nodes' image/layer results — into one result
-// whose analysis_report_json is byte-identical to a single-node run over
-// the full snapshot.
+// K-way split recombination: one analysis run split across K pipeline runs
+// ("nodes"), each a run_end_to_end with node_count = K and its own
+// node_index. A node crawls the shared snapshot, downloads and analyzes
+// only its repository partition, indexes only the layers it owns under the
+// deterministic ownership pass (DESIGN.md §10), and exports its sharded
+// dedup index as a shard set. fold_contributions folds the K sets — plus
+// the nodes' image/layer results — into one result whose
+// analysis_report_json is byte-identical to a single-node run over the
+// full snapshot.
 //
-// This is an in-process simulation of the scale-out story (K processes on
-// K machines would exchange only the shard-set directories), and the same
-// exported directories feed the `dockmine merge-shards` CLI verb.
+// The coordinator folds its workers' leases this way (DESIGN.md §12),
+// serve folds its ingest batches the same way, and the exported
+// directories also feed the `dockmine merge-shards` CLI verb.
 #pragma once
 
 #include <cstdint>
@@ -21,45 +22,10 @@
 
 namespace dockmine::core {
 
-struct MultiNodeOptions {
-  /// Per-node pipeline settings. `shard` must be enabled (shards >= 1);
-  /// node_count/node_index/shard_export_dir are overwritten per node, and
-  /// each node spills into its own export directory.
-  PipelineOptions base;
-  std::uint32_t nodes = 2;
-  /// Root for the per-node shard sets: node i exports to
-  /// `<export_root>/node-<i>/shardset.json`.
-  std::string export_root;
-  /// When non-empty (and obs is enabled), each node's run is bracketed by
-  /// obs::reset_all() + set_node_id(i) and its metrics/span snapshot is
-  /// written to `<obs_export_dir>/obs-node-<i>.json` — the input format of
-  /// `merge_obs_exports` / the `merge-obs` CLI verb. Because each node run
-  /// resets the process-wide registry, leave this empty when the caller is
-  /// accumulating its own metrics around the multi-node run.
-  std::string obs_export_dir;
-};
-
-struct MultiNodeResult {
-  /// Per-node pipeline outcomes, in node order.
-  std::vector<PipelineResult> node_results;
-  /// The recombined run: images/manifests/layer profiles concatenated,
-  /// layer sharing recomputed over the union, and the dedup section rebuilt
-  /// by merging every node's exported shard set. Download/crawl/service
-  /// accounting is left per node (see node_results); the canonical
-  /// analysis_report_json of this result equals the single-node report.
-  PipelineResult combined;
-  std::vector<std::string> shard_set_dirs;  ///< one per node
-  /// Per-node obs export files (empty unless obs_export_dir was set).
-  std::vector<std::string> obs_export_files;
-};
-
-util::Result<MultiNodeResult> run_multi_node(const MultiNodeOptions& options);
-
 /// One node's (or one lease's) delivered work, stripped to exactly what the
-/// recombination needs. The in-process simulation builds these from
-/// PipelineResults; the distributed coordinator builds them from wire
-/// messages plus shard-set files received over sockets — both feed the same
-/// fold below.
+/// recombination needs. Every run becomes one through contribution_of:
+/// in process, or on a worker, whose lease result carries it to the
+/// coordinator beside the shard-set files — all feed the same fold below.
 struct NodeContribution {
   std::vector<analyzer::ImageProfile> images;
   std::vector<registry::Manifest> manifests;
@@ -68,6 +34,12 @@ struct NodeContribution {
   std::string shard_set_dir;  ///< exported shard set to fold
   ShardedDedupSummary shard_summary;  ///< per-node accounting (summed)
 };
+
+/// Move one finished run into a contribution whose shard set was exported
+/// to `shard_set_dir` (the run's PipelineOptions::shard_export_dir). The
+/// run's images and manifests are moved, never copied.
+NodeContribution contribution_of(PipelineResult&& result,
+                                 std::string shard_set_dir);
 
 /// Fold K contributions into one PipelineResult whose analysis_report_json
 /// is byte-identical to a single-node run over the union: concatenate the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -110,7 +109,7 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
     result.crawl = crawler.crawl_all();
   }
 
-  // --- multi-node: ownership pass over the GLOBAL crawl order ---
+  // --- K-way split: ownership pass over the GLOBAL crawl order ---
   // Every node computes the same assignment locally against the
   // deterministic registry: the first repository whose unauthenticated
   // manifest fetch succeeds claims each of its not-yet-owned layers for
@@ -144,50 +143,27 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   }
 
   // --- download, barrier, analyze ---
-  std::optional<shard::ShardedDedupIndex> sharded;
-  if (options.shard.enabled()) {
-    sharded.emplace(options.shard);
-  } else {
-    result.file_index = std::make_unique<dedup::FileDedupIndex>(1 << 16);
-  }
-  std::unordered_map<std::uint64_t, std::uint32_t> layer_dense;
-  std::mutex file_index_mutex;
+  shard::ShardedDedupIndex sharded(options.shard);
 
+  // Lock-free routing: each delivering thread appends to its own per-shard
+  // maps. The layer id is derived from the layer digest (not a shared
+  // dense-id map, which would need a lock); it only feeds
+  // first_layer/multi_layer, which the canonical report deliberately
+  // excludes.
   analyzer::AnalysisPipeline::Sink sink;
-  if (result.file_index) {
-    sink.on_layer_files = [&](const digest::Digest& layer_digest,
-                              std::span<const analyzer::FileRecord> records) {
-      std::lock_guard lock(file_index_mutex);
-      auto [it, inserted] = layer_dense.emplace(
-          layer_digest.key64(),
-          static_cast<std::uint32_t>(layer_dense.size()));
-      for (const analyzer::FileRecord& record : records) {
-        result.file_index->add(record.digest, record.size, record.type,
-                               it->second);
-      }
-    };
-  } else if (sharded) {
-    // Lock-free routing: each delivering thread appends to its own
-    // per-shard maps. The layer id is derived from the layer digest (not a
-    // shared dense-id map, which would need a lock); it only feeds
-    // first_layer/multi_layer, which the canonical report deliberately
-    // excludes.
-    const bool filter_by_owner = node_count > 1;
-    sink.on_layer_files = [&, filter_by_owner](
-                              const digest::Digest& layer_digest,
-                              std::span<const analyzer::FileRecord> records) {
-      if (filter_by_owner) {
-        auto it = layer_owner.find(layer_digest.key64());
-        if (it == layer_owner.end() || it->second != options.node_index) return;
-      }
-      auto& writer = sharded->local_writer();
-      const auto layer_id =
-          static_cast<std::uint32_t>(layer_digest.key64() >> 32);
-      for (const analyzer::FileRecord& record : records) {
-        writer.add(record.digest, record.size, record.type, layer_id);
-      }
-    };
-  }
+  sink.on_layer_files = [&](const digest::Digest& layer_digest,
+                            std::span<const analyzer::FileRecord> records) {
+    if (node_count > 1) {
+      auto it = layer_owner.find(layer_digest.key64());
+      if (it == layer_owner.end() || it->second != options.node_index) return;
+    }
+    auto& writer = sharded.local_writer();
+    const auto layer_id =
+        static_cast<std::uint32_t>(layer_digest.key64() >> 32);
+    for (const analyzer::FileRecord& record : records) {
+      writer.add(record.digest, record.size, record.type, layer_id);
+    }
+  };
   sink.on_image = [&](const analyzer::ImageProfile& profile) {
     result.images.push_back(profile);
   };
@@ -199,39 +175,31 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   // --- layer sharing over the downloaded manifests ---
   {
     const auto span = tracer.span("dedup");
-    std::vector<dedup::LayerSharingAnalysis::LayerUse> uses;
-    for (const auto& manifest : result.manifests) {
-      uses.clear();
-      for (const auto& ref : manifest.layers) {
-        uses.push_back({ref.digest.key64(), ref.compressed_size});
-      }
-      result.sharing.add_image(uses);
-    }
+    result.sharing = layer_sharing_of(result.manifests);
   }
 
   // --- fold the sharded index back into exact aggregates ---
-  if (sharded) {
+  {
     const auto span = tracer.span("shard_merge");
     if (!options.shard_export_dir.empty()) {
-      auto manifest = sharded->export_shard_set(options.shard_export_dir);
+      auto manifest = sharded.export_shard_set(options.shard_export_dir);
       if (!manifest.ok()) return std::move(manifest).error();
       result.shard_summary.export_manifest = std::move(manifest).value();
     }
     shard::ShardMerger merger;
-    if (auto s = sharded->seal_into(merger); !s.ok()) return s.error();
+    if (auto s = sharded.seal_into(merger); !s.ok()) return s.error();
     auto aggregates = merger.merge_aggregates();
     if (!aggregates.ok()) return std::move(aggregates).error();
     result.shard_summary.runs_merged = merger.stats().runs;
     result.shard_dedup = std::move(aggregates).value();
 
-    const shard::SpillStats spill = sharded->stats();
-    result.shard_summary.enabled = true;
-    result.shard_summary.shards = sharded->shards();
-    result.shard_summary.observations = sharded->observations();
+    const shard::SpillStats spill = sharded.stats();
+    result.shard_summary.shards = sharded.shards();
+    result.shard_summary.observations = sharded.observations();
     result.shard_summary.distinct_contents =
         result.shard_dedup->distinct_contents;
     result.shard_summary.metadata_conflicts =
-        sharded->metadata_conflicts() + result.shard_dedup->metadata_conflicts;
+        sharded.metadata_conflicts() + result.shard_dedup->metadata_conflicts;
     result.shard_summary.spills = spill.spills;
     result.shard_summary.spilled_bytes = spill.spilled_bytes;
     result.shard_summary.peak_resident_bytes = spill.peak_resident_bytes;
@@ -245,6 +213,20 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
   if (resilient) result.resilience = resilient->stats();
   if (faulty) result.fault_stats = faulty->stats();
   return result;
+}
+
+dedup::LayerSharingAnalysis layer_sharing_of(
+    std::span<const registry::Manifest> manifests) {
+  dedup::LayerSharingAnalysis sharing;
+  std::vector<dedup::LayerSharingAnalysis::LayerUse> uses;
+  for (const registry::Manifest& manifest : manifests) {
+    uses.clear();
+    for (const auto& ref : manifest.layers) {
+      uses.push_back({ref.digest.key64(), ref.compressed_size});
+    }
+    sharing.add_image(uses);
+  }
+  return sharing;
 }
 
 namespace {
@@ -337,21 +319,7 @@ json::Value analysis_report_json(const PipelineResult& result) {
 
   // --- file dedup (totals and per-content counts are order independent;
   // first_layer ids are not and are deliberately excluded) ---
-  // The monolithic index and the sharded backend emit the same fields in
-  // the same order from the same order-independent quantities, so the two
-  // backends are byte-interchangeable here.
-  if (result.file_index) {
-    const dedup::DedupTotals totals = result.file_index->totals();
-    auto dedup = json::Value::object();
-    dedup.set("total_files", totals.total_files);
-    dedup.set("unique_files", totals.unique_files);
-    dedup.set("total_bytes", totals.total_bytes);
-    dedup.set("unique_bytes", totals.unique_bytes);
-    dedup.set("count_ratio", totals.count_ratio());
-    dedup.set("capacity_ratio", totals.capacity_ratio());
-    dedup.set("repeat_counts", ecdf_json(result.file_index->repeat_count_cdf()));
-    report.set("dedup", std::move(dedup));
-  } else if (result.shard_dedup) {
+  if (result.shard_dedup) {
     const dedup::DedupTotals& totals = result.shard_dedup->totals;
     auto dedup = json::Value::object();
     dedup.set("total_files", totals.total_files);

@@ -4,7 +4,7 @@
 //   -> crawl (paginated search, dedup raw hits)
 //   -> download (parallel, unique layers only, 401/404 accounting)
 //   -> analyze (gunzip + untar + classify, parallel)
-//   -> dedup (file index + layer sharing)
+//   -> dedup (sharded file index + layer sharing)
 //
 // One execution path: download every verified layer blob in parallel
 // (`download_workers`), wait at a barrier, then analyze the unique layers
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,18 +68,18 @@ struct PipelineOptions {
   registry::RetryPolicy retry;      ///< used when faults != nullptr
   registry::BreakerPolicy breaker;  ///< used when faults != nullptr
 
-  /// Sharded dedup backend (dockmine::shard). shard.shards == 0 (the
-  /// default) keeps the monolithic FileDedupIndex; any other value routes
-  /// file observations to a hash-partitioned, optionally disk-spilling
-  /// index instead, and the report's dedup section is computed by merging
-  /// the shard runs. The emitted report bytes are identical either way, for
-  /// every worker count, shard count, and spill threshold.
+  /// The dedup store (dockmine::shard): file observations route to a
+  /// hash-partitioned, optionally disk-spilling index, and the report's
+  /// dedup section is computed by merging its runs. One shard without a
+  /// spill dir (the default) keeps everything resident. The emitted report
+  /// bytes are identical for every worker count, shard count, and spill
+  /// threshold.
   shard::Config shard;
 
-  /// When non-empty (requires shard.enabled()), additionally freeze the
-  /// sharded index into this directory as an exported shard set
-  /// (run files + shardset.json) that another process can fold with
-  /// ShardMerger::add_shard_set — the multi-node hand-off.
+  /// When non-empty, additionally freeze the sharded index into this
+  /// directory as an exported shard set (run files + shardset.json) that
+  /// another process can fold with ShardMerger::add_shard_set — the
+  /// multi-node hand-off.
   std::string shard_export_dir;
 
   /// When non-null, analyze THIS registry instead of materializing a fresh
@@ -90,12 +91,12 @@ struct PipelineOptions {
   /// because nothing was materialized here.
   registry::Service* external_service = nullptr;
 
-  /// Multi-node simulation (requires shard.enabled() when > 1): this run
-  /// acts as node `node_index` of `node_count`. The node crawls the full
-  /// snapshot, then downloads/analyzes only its repository partition
-  /// (crawl order index % node_count) and indexes only the layers it owns
-  /// per the deterministic ownership pass (DESIGN.md §10), so the union of
-  /// all nodes' shard sets folds to exactly the single-node index.
+  /// K-way split: this run acts as node `node_index` of `node_count`. The
+  /// node crawls the full snapshot, then downloads/analyzes only its
+  /// repository partition (crawl order index % node_count) and indexes only
+  /// the layers it owns per the deterministic ownership pass (DESIGN.md
+  /// §10), so fold_contributions over all nodes' exported shard sets
+  /// reproduces the single-node report.
   std::uint32_t node_count = 1;
   std::uint32_t node_index = 0;
 };
@@ -108,11 +109,10 @@ struct StreamStats {
   std::uint64_t producer_stalls = 0;
 };
 
-/// Accounting for the sharded dedup backend; all zeros when it is off.
-/// None of these fields feed the canonical reports (they are run-shape
-/// facts — spill pressure, resident peaks — not analysis results).
+/// Accounting for the sharded dedup store. None of these fields feed the
+/// canonical reports (they are run-shape facts — spill pressure, resident
+/// peaks — not analysis results).
 struct ShardedDedupSummary {
-  bool enabled = false;
   std::uint32_t shards = 0;
   std::uint64_t observations = 0;       ///< file instances routed
   std::uint64_t distinct_contents = 0;
@@ -130,11 +130,14 @@ struct PipelineResult {
   registry::ServiceStats service;
   std::vector<analyzer::ImageProfile> images;
   analyzer::ProfileStore layer_profiles;
-  std::unique_ptr<dedup::FileDedupIndex> file_index;
-  /// Dedup aggregates from the sharded backend (set instead of file_index
-  /// when PipelineOptions::shard is enabled).
+  /// The file-level dedup aggregates: the merged sharded index after
+  /// run_end_to_end and fold_contributions, the resident index after a
+  /// temporal epoch. analysis_report_json reads its dedup section here.
   std::optional<shard::MergedAggregates> shard_dedup;
   ShardedDedupSummary shard_summary;
+  /// A temporal epoch's resident index (temporal::DeltaAnalyzer::result),
+  /// kept for serve's content queries. run_end_to_end never sets it.
+  std::unique_ptr<dedup::FileDedupIndex> file_index;
   dedup::LayerSharingAnalysis sharing;
   std::uint64_t manifests_pushed = 0;
   /// Manifests of every successfully delivered image (completion order).
@@ -149,6 +152,13 @@ struct PipelineResult {
 };
 
 util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options);
+
+/// Layer sharing over delivered manifests: each manifest's (layer key64,
+/// compressed size) uses fold as one image. run_end_to_end,
+/// fold_contributions and the temporal analyzer all build their sharing
+/// here, so their totals agree.
+dedup::LayerSharingAnalysis layer_sharing_of(
+    std::span<const registry::Manifest> manifests);
 
 /// Canonical analysis report: images / layers / sharing / dedup aggregates.
 /// Built only from order-independent quantities (totals, quantiles over

@@ -419,6 +419,37 @@ json::Value type_breakdown_json(const dedup::TypeBreakdown& breakdown) {
 
 // ---- daemon ------------------------------------------------------------
 
+namespace {
+
+/// The answers both modes derive from a result the same way: the report,
+/// the type breakdown, per-image reports and metrics, and layer sharing
+/// (moved out of `result`).
+std::shared_ptr<Snapshot> snapshot_of(PipelineResult& result) {
+  auto snapshot = std::make_shared<Snapshot>();
+  snapshot->report = pipeline_report_json(result);
+  snapshot->types = type_breakdown_json(result.shard_dedup->by_type);
+
+  std::map<std::string, const registry::Manifest*> manifests_by_repo;
+  for (const registry::Manifest& manifest : result.manifests) {
+    manifests_by_repo[manifest.repository] = &manifest;
+  }
+  for (const analyzer::ImageProfile& profile : result.images) {
+    const auto it = manifests_by_repo.find(profile.repository);
+    if (it == manifests_by_repo.end()) continue;  // delivered images always match
+    snapshot->images.emplace(
+        profile.repository,
+        image_report_json(profile, *it->second, result.sharing));
+    snapshot->repo_metrics.emplace(
+        profile.repository,
+        RepoMetrics{profile.cis, profile.fis, profile.file_count,
+                    profile.layer_count});
+  }
+  snapshot->sharing = std::move(result.sharing);
+  return snapshot;
+}
+
+}  // namespace
+
 ServeDaemon::ServeDaemon(ServeOptions options)
     : options_(std::move(options)) {}
 
@@ -460,19 +491,10 @@ util::Status ServeDaemon::run_batch(const BatchSpec& spec) {
     std::filesystem::remove_all(dir, ec);
     return util::unavailable("serve: batch canceled by shutdown");
   }
-  PipelineResult& result = run.value();
   BatchState state;
   state.spec = spec;
-  state.download = result.download;
-  state.contribution.images = std::move(result.images);
-  state.contribution.manifests = std::move(result.manifests);
-  result.layer_profiles.for_each(
-      [&state](const analyzer::LayerProfile& profile) {
-        state.contribution.layer_profiles.push_back(profile);
-      });
-  state.contribution.manifests_pushed = result.manifests_pushed;
-  state.contribution.shard_set_dir = dir;
-  state.contribution.shard_summary = result.shard_summary;
+  state.download = run.value().download;
+  state.contribution = contribution_of(std::move(run).value(), dir);
   batches_.push_back(std::move(state));
   return util::Status::success();
 }
@@ -510,32 +532,11 @@ util::Result<std::shared_ptr<Snapshot>> ServeDaemon::build_snapshot() {
   }
   result.download = total;
 
-  auto snapshot = std::make_shared<Snapshot>();
+  auto snapshot = snapshot_of(result);
   snapshot->epoch = batches_.size();
   for (const BatchState& batch : batches_) {
     snapshot->batches.push_back(batch.spec);
   }
-  snapshot->report = pipeline_report_json(result);
-  if (result.shard_dedup) {
-    snapshot->types = type_breakdown_json(result.shard_dedup->by_type);
-  }
-
-  std::map<std::string, const registry::Manifest*> manifests_by_repo;
-  for (const registry::Manifest& manifest : result.manifests) {
-    manifests_by_repo[manifest.repository] = &manifest;
-  }
-  for (const analyzer::ImageProfile& profile : result.images) {
-    const auto it = manifests_by_repo.find(profile.repository);
-    if (it == manifests_by_repo.end()) continue;  // delivered images always match
-    snapshot->images.emplace(
-        profile.repository,
-        image_report_json(profile, *it->second, result.sharing));
-    snapshot->repo_metrics.emplace(
-        profile.repository,
-        RepoMetrics{profile.cis, profile.fis, profile.file_count,
-                    profile.layer_count});
-  }
-  snapshot->sharing = std::move(result.sharing);
 
   std::vector<std::string> dirs;
   for (const BatchState& batch : batches_) {
@@ -552,32 +553,13 @@ util::Result<std::shared_ptr<Snapshot>> ServeDaemon::apply_temporal_epoch(
   auto advanced = options_.temporal_advance(epoch);
   if (!advanced.ok()) return advanced.error();
   PipelineResult& result = advanced.value();
-  if (!result.file_index) {
+  if (!result.file_index || !result.shard_dedup) {
     return util::internal("serve: temporal epoch has no resident dedup index");
   }
 
-  auto snapshot = std::make_shared<Snapshot>();
+  auto snapshot = snapshot_of(result);
   snapshot->epoch = epoch;
   snapshot->temporal = true;
-  snapshot->report = pipeline_report_json(result);
-  snapshot->types = type_breakdown_json(dedup::TypeBreakdown(*result.file_index));
-
-  std::map<std::string, const registry::Manifest*> manifests_by_repo;
-  for (const registry::Manifest& manifest : result.manifests) {
-    manifests_by_repo[manifest.repository] = &manifest;
-  }
-  for (const analyzer::ImageProfile& profile : result.images) {
-    const auto it = manifests_by_repo.find(profile.repository);
-    if (it == manifests_by_repo.end()) continue;
-    snapshot->images.emplace(
-        profile.repository,
-        image_report_json(profile, *it->second, result.sharing));
-    snapshot->repo_metrics.emplace(
-        profile.repository,
-        RepoMetrics{profile.cis, profile.fis, profile.file_count,
-                    profile.layer_count});
-  }
-  snapshot->sharing = std::move(result.sharing);
   snapshot->resident =
       std::shared_ptr<const dedup::FileDedupIndex>(std::move(result.file_index));
   temporal_applied_ = epoch + 1;
@@ -622,9 +604,7 @@ util::Status ServeDaemon::start() {
   if (options_.state_dir.empty()) {
     return util::invalid_argument("serve: state_dir is required");
   }
-  if (options_.job.shards == 0) {
-    return util::invalid_argument("serve: job.shards must be >= 1");
-  }
+  if (auto valid = check_job_spec(options_.job); !valid.ok()) return valid;
   std::error_code ec;
   std::filesystem::create_directories(options_.state_dir, ec);
   if (ec) {

@@ -246,9 +246,11 @@ class ServeDaemon {
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
-  /// Load state: replay committed batches from state.json when present,
-  /// else run the initial batch from `job` and commit it. Then bind the
-  /// listener and start accepting.
+  /// Check `job` (check_job_spec) and `state_dir`, failing with
+  /// kInvalidArgument before any batch runs. Then load state: replay
+  /// committed batches from state.json when present, else run the initial
+  /// batch from `job` and commit it. Then bind the listener and start
+  /// accepting.
   util::Status start();
 
   std::uint16_t port() const noexcept { return listener_.port(); }

@@ -1,6 +1,8 @@
 #include "dockmine/core/wire.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "dockmine/compress/crc32.h"
 #include "dockmine/registry/manifest.h"
@@ -169,49 +171,52 @@ json::Value job_spec_to_json(const JobSpec& spec) {
 util::Result<JobSpec> job_spec_from_json(const json::Value& doc) {
   if (!doc.is_object()) return util::corrupt("wire: job spec not an object");
   JobSpec spec;
-  std::uint64_t workers = 0;
+  std::uint64_t download_workers = 0;
+  std::uint64_t analyze_workers = 0;
   std::uint64_t shards = 0;
   if (!require_uint(doc, "repositories", spec.repositories) ||
       !require_uint(doc, "seed", spec.seed) ||
       !require_uint(doc, "spill_threshold_bytes",
                     spec.spill_threshold_bytes) ||
-      !doc["light"].is_bool() || !doc["gzip_level"].is_int())
+      !require_uint(doc, "download_workers", download_workers) ||
+      !require_uint(doc, "analyze_workers", analyze_workers) ||
+      !require_uint(doc, "shards", shards) || !doc["light"].is_bool() ||
+      !doc["gzip_level"].is_int())
     return util::corrupt("wire: job spec fields missing or invalid");
+  // Saturate before narrowing so an oversized value stays out of range for
+  // check_job_spec instead of wrapping into it.
   spec.light_calibration = doc["light"].as_bool();
-  spec.gzip_level = static_cast<int>(doc["gzip_level"].as_int());
-  if (!require_uint(doc, "download_workers", workers) || workers == 0 ||
-      workers > 256)
-    return util::corrupt("wire: job spec download_workers out of range");
-  spec.download_workers = static_cast<std::size_t>(workers);
-  if (!require_uint(doc, "analyze_workers", workers) || workers == 0 ||
-      workers > 256)
-    return util::corrupt("wire: job spec analyze_workers out of range");
-  spec.analyze_workers = static_cast<std::size_t>(workers);
-  if (!require_uint(doc, "shards", shards) || shards == 0 || shards > 4096)
-    return util::corrupt("wire: job spec shards out of range");
-  spec.shards = static_cast<std::uint32_t>(shards);
-  if (spec.repositories == 0 || spec.repositories > 100'000'000ull)
-    return util::corrupt("wire: job spec repositories out of range");
+  spec.gzip_level = static_cast<int>(
+      std::clamp<std::int64_t>(doc["gzip_level"].as_int(),
+                               std::numeric_limits<int>::min(),
+                               std::numeric_limits<int>::max()));
+  spec.download_workers = static_cast<std::size_t>(download_workers);
+  spec.analyze_workers = static_cast<std::size_t>(analyze_workers);
+  spec.shards = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      shards, std::numeric_limits<std::uint32_t>::max()));
+  if (auto valid = check_job_spec(spec); !valid.ok())
+    return util::corrupt("wire: " + valid.error().message());
   return spec;
 }
 
 // ---- lease result ------------------------------------------------------
 
 json::Value lease_result_to_json(const LeaseResult& result) {
+  const NodeContribution& node = result.contribution;
   json::Value doc = json::Value::object();
   doc.set("type", "result");
   doc.set("worker", result.worker);
   doc.set("lease", std::uint64_t{result.lease});
   doc.set("attempt", std::uint64_t{result.attempt});
-  doc.set("manifests_pushed", result.manifests_pushed);
+  doc.set("manifests_pushed", node.manifests_pushed);
 
   json::Value images = json::Value::array();
-  for (const auto& image : result.images)
+  for (const auto& image : node.images)
     images.push_back(image_profile_to_json(image));
   doc.set("images", std::move(images));
 
   json::Value manifests = json::Value::array();
-  for (const auto& manifest : result.manifests) {
+  for (const auto& manifest : node.manifests) {
     // The canonical manifest codec round-trips through its JSON string
     // form; re-parse so the wire document nests objects, not strings.
     auto parsed = json::parse(registry::manifest_to_json(manifest));
@@ -221,16 +226,16 @@ json::Value lease_result_to_json(const LeaseResult& result) {
   doc.set("manifests", std::move(manifests));
 
   json::Value layers = json::Value::array();
-  for (const auto& profile : result.layer_profiles)
+  for (const auto& profile : node.layer_profiles)
     layers.push_back(layer_profile_to_json(profile));
   doc.set("layers", std::move(layers));
 
   json::Value shard = json::Value::object();
-  shard.set("shards", std::uint64_t{result.shard_summary.shards});
-  shard.set("observations", result.shard_summary.observations);
-  shard.set("spills", result.shard_summary.spills);
-  shard.set("spilled_bytes", result.shard_summary.spilled_bytes);
-  shard.set("peak_resident_bytes", result.shard_summary.peak_resident_bytes);
+  shard.set("shards", std::uint64_t{node.shard_summary.shards});
+  shard.set("observations", node.shard_summary.observations);
+  shard.set("spills", node.shard_summary.spills);
+  shard.set("spilled_bytes", node.shard_summary.spilled_bytes);
+  shard.set("peak_resident_bytes", node.shard_summary.peak_resident_bytes);
   doc.set("shard", std::move(shard));
 
   doc.set("obs", result.obs_export);
@@ -250,12 +255,13 @@ util::Result<LeaseResult> lease_result_from_json(const json::Value& doc) {
   if (!doc.is_object() || doc["type"].as_string() != "result")
     return util::corrupt("wire: lease result is not a result message");
   LeaseResult result;
+  NodeContribution& node = result.contribution;
   std::uint64_t lease = 0;
   std::uint64_t attempt = 0;
   if (!require_uint(doc, "worker", result.worker) ||
       !require_uint(doc, "lease", lease) || lease > 0xffffffffull ||
       !require_uint(doc, "attempt", attempt) || attempt > 0xffffffffull ||
-      !require_uint(doc, "manifests_pushed", result.manifests_pushed))
+      !require_uint(doc, "manifests_pushed", node.manifests_pushed))
     return util::corrupt("wire: lease result header fields invalid");
   result.lease = static_cast<std::uint32_t>(lease);
   result.attempt = static_cast<std::uint32_t>(attempt);
@@ -268,33 +274,32 @@ util::Result<LeaseResult> lease_result_from_json(const json::Value& doc) {
   for (const json::Value& entry : doc["images"].items()) {
     auto image = image_profile_from_json(entry);
     if (!image.ok()) return image.error();
-    result.images.push_back(std::move(image).value());
+    node.images.push_back(std::move(image).value());
   }
   for (const json::Value& entry : doc["manifests"].items()) {
     auto manifest = registry::manifest_from_json(entry.dump());
     if (!manifest.ok())
       return util::corrupt("wire: lease result manifest: " +
                            manifest.error().message());
-    result.manifests.push_back(std::move(manifest).value());
+    node.manifests.push_back(std::move(manifest).value());
   }
   for (const json::Value& entry : doc["layers"].items()) {
     auto profile = layer_profile_from_json(entry);
     if (!profile.ok()) return profile.error();
-    result.layer_profiles.push_back(std::move(profile).value());
+    node.layer_profiles.push_back(std::move(profile).value());
   }
 
   const json::Value& shard = doc["shard"];
   std::uint64_t shards = 0;
   if (!require_uint(shard, "shards", shards) || shards > 4096 ||
-      !require_uint(shard, "observations", result.shard_summary.observations) ||
-      !require_uint(shard, "spills", result.shard_summary.spills) ||
+      !require_uint(shard, "observations", node.shard_summary.observations) ||
+      !require_uint(shard, "spills", node.shard_summary.spills) ||
       !require_uint(shard, "spilled_bytes",
-                    result.shard_summary.spilled_bytes) ||
+                    node.shard_summary.spilled_bytes) ||
       !require_uint(shard, "peak_resident_bytes",
-                    result.shard_summary.peak_resident_bytes))
+                    node.shard_summary.peak_resident_bytes))
     return util::corrupt("wire: lease result shard accounting invalid");
-  result.shard_summary.shards = static_cast<std::uint32_t>(shards);
-  result.shard_summary.enabled = true;
+  node.shard_summary.shards = static_cast<std::uint32_t>(shards);
 
   result.obs_export = doc["obs"];
 

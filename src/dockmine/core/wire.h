@@ -42,6 +42,7 @@
 
 #include "dockmine/analyzer/profile.h"
 #include "dockmine/core/lease.h"
+#include "dockmine/core/multi_node.h"
 #include "dockmine/json/json.h"
 #include "dockmine/registry/model.h"
 #include "dockmine/util/error.h"
@@ -117,11 +118,9 @@ struct LeaseResult {
   std::uint64_t worker = 0;
   std::uint32_t lease = 0;
   std::uint32_t attempt = 0;
-  std::vector<analyzer::ImageProfile> images;
-  std::vector<registry::Manifest> manifests;
-  std::vector<analyzer::LayerProfile> layer_profiles;
-  std::uint64_t manifests_pushed = 0;
-  ShardedDedupSummary shard_summary;
+  /// The node's delivered work. shard_set_dir is not sent: the coordinator
+  /// points it at the directory the shipped files land in.
+  NodeContribution contribution;
   json::Value obs_export;  ///< obs::to_json(collect()) for this lease's run
   std::vector<FileEntry> files;  ///< binary frames follow in this order
 };

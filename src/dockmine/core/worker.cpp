@@ -225,19 +225,11 @@ util::Status execute_lease(const WorkerOptions& options, WireWriter& writer,
     ++stats.leases_failed;
     return send_lease_failed(writer, worker_id, grant.lease, result.error());
   }
-  PipelineResult& pipeline = result.value();
-
   wire::LeaseResult outcome;
   outcome.worker = worker_id;
   outcome.lease = grant.lease;
   outcome.attempt = grant.attempt;
-  outcome.images = std::move(pipeline.images);
-  outcome.manifests = std::move(pipeline.manifests);
-  pipeline.layer_profiles.for_each([&](const analyzer::LayerProfile& profile) {
-    outcome.layer_profiles.push_back(profile);
-  });
-  outcome.manifests_pushed = pipeline.manifests_pushed;
-  outcome.shard_summary = pipeline.shard_summary;
+  outcome.contribution = contribution_of(std::move(result).value(), export_dir);
   if (obs::enabled()) outcome.obs_export = obs::to_json(obs::collect());
   obs::reset_all();
 

@@ -10,6 +10,10 @@ namespace dockmine::downloader {
 
 namespace {
 
+/// The tag every pull resolves: the paper downloaded each repository's
+/// `latest` image and counted a missing one as a failure.
+constexpr const char* kTag = "latest";
+
 struct DownloaderMetrics {
   obs::Counter& layers;
   obs::Counter& bytes;
@@ -64,8 +68,7 @@ util::Result<blob::BlobPtr> Downloader::acquire_layer(
   for (int transfer = 1;; ++transfer) {
     auto blob = service_.fetch_blob(digest);
     if (!blob.ok()) return blob;
-    if (options_.verify_digests &&
-        digest::Digest::of(*blob.value()) != digest) {
+    if (digest::Digest::of(*blob.value()) != digest) {
       // Truncated or bit-flipped in flight. One silent re-fetch, as the
       // paper's downloader did; a second mismatch means the upstream copy
       // itself is bad and retrying cannot help.
@@ -136,7 +139,7 @@ util::Result<blob::BlobPtr> Downloader::fetch_layer(
 util::Result<DownloadedImage> Downloader::fetch_image(
     const std::string& repository) {
   auto manifest_body =
-      service_.fetch_manifest(repository, options_.tag, options_.authenticated);
+      service_.fetch_manifest(repository, kTag, options_.authenticated);
   if (!manifest_body.ok()) return std::move(manifest_body).error();
   auto manifest = registry::manifest_from_json(manifest_body.value());
   if (!manifest.ok()) return std::move(manifest).error();

@@ -8,9 +8,11 @@
 // The JSON form is also a wire format: `report_from_json` parses an
 // exported document back into a MetricsReport (exact — log2 buckets
 // reconstruct from their row lower bounds), and `merge_reports` /
-// `merge_obs_exports` fold per-node exports from a `run_multi_node` run
-// into one cluster-wide report, with per-node wall times for straggler
-// analysis. That pair backs the `dockmine merge-obs` CLI verb.
+// `merge_obs_exports` fold per-node exports of a K-way split (one
+// `dockmine metrics --nodes K --node I --format json` per node, or the
+// coordinator's per-lease exports) into one cluster-wide report, with
+// per-node wall times for straggler analysis. That pair backs the
+// `dockmine merge-obs` CLI verb.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +73,8 @@ struct ObsMergeResult {
 };
 
 /// Read per-node JSON exports (files produced by `to_json(...).dump()`,
-/// e.g. `run_multi_node` with an obs export dir) and fold them into one
-/// report. Fails on unreadable files or schema mismatches.
+/// e.g. `dockmine metrics --nodes K --node I --format json`) and fold them
+/// into one report. Fails on unreadable files or schema mismatches.
 util::Result<ObsMergeResult> merge_obs_exports(
     const std::vector<std::string>& paths);
 

@@ -1,5 +1,6 @@
-// Hash-partitioned, disk-spilling dedup index (the out-of-core / multi-node
-// counterpart of dedup::FileDedupIndex).
+// Hash-partitioned, disk-spilling dedup index: the pipeline's only dedup
+// store (dedup::FileDedupIndex stays as its in-RAM reference and as the
+// temporal analyzer's retractable index), out-of-core and multi-node.
 //
 // Content keys route to one of N shards by their top log2(N) bits. Each
 // producer thread owns a private Writer holding one small ShardStore per
@@ -43,9 +44,9 @@ namespace dockmine::shard {
 class ShardMerger;
 
 struct Config {
-  /// Shard count; 0 disables the sharded backend entirely (pipeline default)
-  /// and any other value is rounded up to a power of two.
-  std::uint32_t shards = 0;
+  /// Shard count, rounded up to a power of two (0 counts as 1). One shard
+  /// without a spill_dir is the pipeline default: a single resident store.
+  std::uint32_t shards = 1;
 
   /// Spill a writer's per-shard map once its table exceeds this many bytes.
   /// Only meaningful with a spill_dir; an index without one keeps
@@ -58,7 +59,6 @@ struct Config {
   /// Initial sizing hint for each writer-shard store.
   std::size_t expected_contents_per_shard = 64;
 
-  bool enabled() const noexcept { return shards != 0; }
   bool spill_enabled() const noexcept {
     return !spill_dir.empty() && spill_threshold_bytes > 0;
   }

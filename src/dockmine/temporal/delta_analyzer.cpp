@@ -265,19 +265,25 @@ util::Result<core::PipelineResult> DeltaAnalyzer::result() const {
   store.reserve(layers_.size());
   for (const auto& [digest, layer] : layers_) store.put(layer.profile);
 
-  std::vector<dedup::LayerSharingAnalysis::LayerUse> uses;
   for (const auto& [repo, manifest] : manifests_) {
     auto image = analyzer::build_image_profile(manifest, store);
     if (!image.ok()) return std::move(image).error();
     out.images.push_back(std::move(image).value());
-    uses.clear();
-    for (const auto& ref : manifest.layers) {
-      uses.push_back({ref.digest.key64(), ref.compressed_size});
-    }
-    out.sharing.add_image(uses);
     out.manifests.push_back(manifest);
   }
+  out.sharing = core::layer_sharing_of(out.manifests);
   out.layer_profiles = std::move(store);
+
+  // The same aggregates a merge of the batch run's shard index yields, read
+  // off the resident index that retraction keeps exact.
+  shard::MergedAggregates aggregates;
+  aggregates.totals = index_.totals();
+  aggregates.repeat_counts = index_.repeat_count_cdf();
+  aggregates.by_type = dedup::TypeBreakdown(index_);
+  aggregates.max_repeat = index_.max_repeat();
+  aggregates.distinct_contents = index_.distinct_contents();
+  aggregates.metadata_conflicts = index_.metadata_conflicts();
+  out.shard_dedup = std::move(aggregates);
   out.file_index = std::make_unique<dedup::FileDedupIndex>(index_);
   return out;
 }

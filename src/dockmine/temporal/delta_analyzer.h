@@ -99,7 +99,9 @@ class DeltaAnalyzer {
   /// Materialize the resident state as a PipelineResult so the shared
   /// canonical serializers (analysis_report_json / pipeline_report_json)
   /// apply verbatim — serializer identity is half of the byte-equality
-  /// story. Copies the resident aggregates; call once per report.
+  /// story. The dedup aggregates land in shard_dedup, as after a batch
+  /// run, and a copy of the resident index in file_index for content
+  /// lookups. Copies the resident aggregates; call once per report.
   util::Result<core::PipelineResult> result() const;
 
   /// analysis_report_json of the resident state.

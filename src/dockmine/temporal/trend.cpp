@@ -13,7 +13,7 @@ util::Status TrendReport::observe(const DeltaAnalyzer& analyzer) {
   point.distinct_layers = analyzer.resident_layers();
   point.layers_changed = analyzer.last_delta().layers_changed;
   point.layers_removed = analyzer.last_delta().layers_removed;
-  const dedup::DedupTotals totals = result.file_index->totals();
+  const dedup::DedupTotals& totals = result.shard_dedup->totals;
   point.total_files = totals.total_files;
   point.unique_files = totals.unique_files;
   point.total_bytes = totals.total_bytes;

@@ -7,11 +7,13 @@
 // corrupted frames may cost a lease but can never deliver altered bytes.
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dockmine/core/coordinator.h"
 #include "dockmine/core/lease.h"
 #include "dockmine/core/wire.h"
 #include "dockmine/digest/digest.h"
@@ -212,8 +214,48 @@ TEST(DistWire, JobSpecRejectsOutOfRange) {
   EXPECT_FALSE(wire::job_spec_from_json(doc).ok());
 
   doc = wire::job_spec_to_json(spec);
-  doc.set("shards", std::uint64_t{5000});
+  doc.set("analyze_workers", std::uint64_t{0});
   EXPECT_FALSE(wire::job_spec_from_json(doc).ok());
+
+  for (const std::uint64_t shards : {std::uint64_t{0}, std::uint64_t{5000},
+                                     std::uint64_t{1} << 32}) {
+    doc = wire::job_spec_to_json(spec);
+    doc.set("shards", shards);
+    EXPECT_FALSE(wire::job_spec_from_json(doc).ok()) << shards;
+  }
+
+  for (const std::int64_t level : {std::int64_t{0}, std::int64_t{10}}) {
+    doc = wire::job_spec_to_json(spec);
+    doc.set("gzip_level", level);
+    EXPECT_FALSE(wire::job_spec_from_json(doc).ok()) << level;
+  }
+
+  // The decoder's rules are check_job_spec's: in range decodes, and the
+  // check alone names the field.
+  EXPECT_TRUE(wire::job_spec_from_json(wire::job_spec_to_json(spec)).ok());
+  spec.gzip_level = 0;
+  const auto checked = dockmine::core::check_job_spec(spec);
+  ASSERT_FALSE(checked.ok());
+  EXPECT_EQ(checked.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(checked.error().message().find("gzip_level"), std::string::npos);
+}
+
+TEST(DistWire, CoordinatorBindRejectsInvalidJobSpec) {
+  // A spec no worker could decode is refused before the listener binds or
+  // the work dir exists, instead of leasing it out until max_wall_ms.
+  const std::filesystem::path work =
+      std::filesystem::temp_directory_path() / "dockmine-dist-invalid-job";
+  std::filesystem::remove_all(work);
+  dockmine::core::CoordinatorOptions options;
+  options.spec.shards = 0;
+  options.work_dir = work.string();
+  dockmine::core::Coordinator coordinator(options);
+  const auto bound = coordinator.bind();
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.error().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(bound.error().message().find("shards"), std::string::npos);
+  EXPECT_EQ(coordinator.port(), 0);
+  EXPECT_FALSE(std::filesystem::exists(work));
 }
 
 TEST(DistWire, ProfileRoundtrips) {
@@ -259,7 +301,7 @@ wire::LeaseResult sample_result() {
   result.worker = 2;
   result.lease = 1;
   result.attempt = 3;
-  result.manifests_pushed = 17;
+  result.contribution.manifests_pushed = 17;
 
   dockmine::analyzer::ImageProfile image;
   image.repository = "alice/app";
@@ -268,7 +310,7 @@ wire::LeaseResult sample_result() {
   image.file_count = 6;
   image.dir_count = 2;
   image.layer_count = 2;
-  result.images.push_back(image);
+  result.contribution.images.push_back(image);
 
   dockmine::registry::Manifest manifest;
   manifest.repository = "alice/app";
@@ -277,7 +319,7 @@ wire::LeaseResult sample_result() {
   manifest.config_size = 99;
   manifest.layers.push_back(
       {dockmine::digest::Digest::of("layer-0"), 4096});
-  result.manifests.push_back(manifest);
+  result.contribution.manifests.push_back(manifest);
 
   dockmine::analyzer::LayerProfile layer;
   layer.digest = dockmine::digest::Digest::of("layer-0");
@@ -286,11 +328,10 @@ wire::LeaseResult sample_result() {
   layer.file_count = 3;
   layer.dir_count = 1;
   layer.max_depth = 2;
-  result.layer_profiles.push_back(layer);
+  result.contribution.layer_profiles.push_back(layer);
 
-  result.shard_summary.enabled = true;
-  result.shard_summary.shards = 4;
-  result.shard_summary.observations = 3;
+  result.contribution.shard_summary.shards = 4;
+  result.contribution.shard_summary.observations = 3;
   result.files.push_back({"shard-000.run", 4096});
   result.files.push_back({"manifest.json", 128});
   return result;
@@ -305,15 +346,16 @@ TEST(DistWire, LeaseResultRoundtrip) {
   EXPECT_EQ(got.worker, result.worker);
   EXPECT_EQ(got.lease, result.lease);
   EXPECT_EQ(got.attempt, result.attempt);
-  EXPECT_EQ(got.manifests_pushed, result.manifests_pushed);
-  ASSERT_EQ(got.images.size(), 1u);
-  EXPECT_EQ(got.images[0].repository, "alice/app");
-  ASSERT_EQ(got.manifests.size(), 1u);
-  EXPECT_EQ(got.manifests[0].tag, "v1");
-  ASSERT_EQ(got.manifests[0].layers.size(), 1u);
-  EXPECT_EQ(got.manifests[0].layers[0].compressed_size, 4096u);
-  ASSERT_EQ(got.layer_profiles.size(), 1u);
-  EXPECT_EQ(got.layer_profiles[0].fls, 8192u);
+  EXPECT_EQ(got.contribution.manifests_pushed,
+            result.contribution.manifests_pushed);
+  ASSERT_EQ(got.contribution.images.size(), 1u);
+  EXPECT_EQ(got.contribution.images[0].repository, "alice/app");
+  ASSERT_EQ(got.contribution.manifests.size(), 1u);
+  EXPECT_EQ(got.contribution.manifests[0].tag, "v1");
+  ASSERT_EQ(got.contribution.manifests[0].layers.size(), 1u);
+  EXPECT_EQ(got.contribution.manifests[0].layers[0].compressed_size, 4096u);
+  ASSERT_EQ(got.contribution.layer_profiles.size(), 1u);
+  EXPECT_EQ(got.contribution.layer_profiles[0].fls, 8192u);
   ASSERT_EQ(got.files.size(), 2u);
   EXPECT_EQ(got.files[0].name, "shard-000.run");
   EXPECT_EQ(got.files[0].size, 4096u);

@@ -68,8 +68,8 @@ TEST_F(PipelineFixture, BytesModeMatchesMetadataModeExactly) {
   options.file_dedup = true;
   const DatasetStats meta = DatasetStats::compute(*hub, options);
 
-  ASSERT_NE(result->file_index, nullptr);
-  const auto measured = result->file_index->totals();
+  ASSERT_TRUE(result->shard_dedup.has_value());
+  const dedup::DedupTotals& measured = result->shard_dedup->totals;
   const auto expected = meta.file_index->totals();
   EXPECT_EQ(measured.total_files, expected.total_files);
   EXPECT_EQ(measured.unique_files, expected.unique_files);
@@ -77,7 +77,7 @@ TEST_F(PipelineFixture, BytesModeMatchesMetadataModeExactly) {
   EXPECT_EQ(measured.unique_bytes, expected.unique_bytes);
 
   // Per-group instance counts agree too (classifier vs model labels).
-  const dedup::TypeBreakdown bytes_breakdown(*result->file_index);
+  const dedup::TypeBreakdown& bytes_breakdown = result->shard_dedup->by_type;
   const dedup::TypeBreakdown meta_breakdown(*meta.file_index);
   for (std::size_t g = 0; g < filetype::kGroupCount; ++g) {
     const auto group = static_cast<filetype::Group>(g);

@@ -82,21 +82,6 @@ core::JobSpec test_spec() {
 constexpr std::uint64_t kIngestRepos = 6;
 constexpr std::uint64_t kIngestSeed = 777;
 
-core::NodeContribution contribution_of(core::PipelineResult& result,
-                                       const std::string& shard_set_dir) {
-  core::NodeContribution contribution;
-  contribution.images = result.images;
-  contribution.manifests = result.manifests;
-  result.layer_profiles.for_each(
-      [&contribution](const dockmine::analyzer::LayerProfile& profile) {
-        contribution.layer_profiles.push_back(profile);
-      });
-  contribution.manifests_pushed = result.manifests_pushed;
-  contribution.shard_set_dir = shard_set_dir;
-  contribution.shard_summary = result.shard_summary;
-  return contribution;
-}
-
 // The daemon under test plus the independently executed batch run every
 // answer is compared against. Built lazily, torn down by a gtest global
 // environment so no daemon thread outlives main().
@@ -808,13 +793,15 @@ TEST(ServeZIngest, CommittedUnionIsByteIdenticalToFoldedBatchRuns) {
       core::lease_pipeline_options(spec_b, 0, 1, batch_b.str()));
   ASSERT_TRUE(run_b.ok()) << run_b.error().to_string();
 
+  // The fixture's oracle is not read after this ordered suffix starts, so
+  // its delivered work can move into the fold.
+  dockmine::downloader::DownloadStats downloads = f.oracle.download;
+  const dockmine::downloader::DownloadStats b = run_b.value().download;
   auto folded = core::fold_contributions(
-      {contribution_of(f.oracle, f.oracle_dir.str()),
-       contribution_of(run_b.value(), batch_b.str())});
+      {core::contribution_of(std::move(f.oracle), f.oracle_dir.str()),
+       core::contribution_of(std::move(run_b).value(), batch_b.str())});
   ASSERT_TRUE(folded.ok()) << folded.error().to_string();
   core::PipelineResult& expected = folded.value();
-  dockmine::downloader::DownloadStats downloads = f.oracle.download;
-  const dockmine::downloader::DownloadStats& b = run_b.value().download;
   downloads.attempted += b.attempted;
   downloads.succeeded += b.succeeded;
   downloads.failed_auth += b.failed_auth;

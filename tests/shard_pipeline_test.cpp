@@ -1,10 +1,13 @@
-// Equivalence property for the sharded dedup backend: the pipeline's
-// canonical reports are byte-identical whether file observations go through
-// the monolithic FileDedupIndex or the hash-partitioned, disk-spilling
-// dockmine::shard backend — across shard counts, spill pressure (none /
-// some / everything), worker counts, seeds, and K-way multi-node splits.
+// Equivalence property for the sharded dedup store: the pipeline's
+// canonical reports are byte-identical across shard counts, spill pressure
+// (none / some / everything), worker counts, seeds, and K-way node splits.
 // Sharding changes *where* aggregation state lives, never *what* the
 // dataset looks like.
+//
+// The golden for each seed is the default run (one shard, no spill), and it
+// must hash to the digest the in-RAM FileDedupIndex backend produced before
+// the sharded index became the pipeline's only dedup store — so the grid
+// still answers to that backend's verdict.
 //
 // DOCKMINE_SHARD_SPILL_BYTES overrides the forced-spill thresholds, which
 // the CI low-spill job uses to drive every run through the spill path.
@@ -13,11 +16,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dockmine/core/multi_node.h"
 #include "dockmine/core/pipeline.h"
+#include "dockmine/digest/digest.h"
 #include "dockmine/obs/obs.h"
 
 namespace dockmine::core {
@@ -54,6 +59,35 @@ std::uint64_t spill_threshold(Spill spill) {
   return spill == Spill::kAll ? 1 : 16ull << 10;
 }
 
+/// Digest::of(pipeline_report_json(run).dump()) of the default run of
+/// small_options(seed), as computed by the in-RAM FileDedupIndex backend.
+std::string pinned_digest(std::uint64_t seed) {
+  switch (seed) {
+    case 20170530:
+      return "sha256:423113dacd76011cc340168de137da30d0addd88088977dd98a4f2d52a95e464";
+    case 7:
+      return "sha256:03cc25fcba9164c2b54e2fa1c235ff3c98e5309234a4fcdc9591bfb6bff83bb2";
+    case 99991:
+      return "sha256:ce82c99e325e6ff6bd1110377dcb8858af3db2c228069ba3b876080bc34d4314";
+  }
+  ADD_FAILURE() << "no pinned digest for seed " << seed;
+  return std::string();
+}
+
+/// The default run's report (one shard, no spill), checked against the
+/// pinned digest.
+std::string default_golden(const PipelineOptions& base) {
+  auto run = run_end_to_end(base);
+  EXPECT_TRUE(run.ok()) << run.error().message();
+  if (!run.ok()) return std::string();
+  EXPECT_EQ(run.value().shard_summary.shards, 1u);
+  EXPECT_EQ(run.value().shard_summary.spills, 0u);
+  const std::string golden = pipeline_report_json(run.value()).dump();
+  EXPECT_EQ(digest::Digest::of(golden).to_string(),
+            pinned_digest(base.scale.seed));
+  return golden;
+}
+
 PipelineResult run_sharded(const PipelineOptions& base, std::uint32_t shards,
                            Spill spill, const std::string& spill_dir) {
   PipelineOptions options = base;
@@ -70,15 +104,12 @@ PipelineResult run_sharded(const PipelineOptions& base, std::uint32_t shards,
   return std::move(result).value();
 }
 
-TEST(ShardPipelineTest, ShardAndSpillGridMatchesMonolithicByteForByte) {
+TEST(ShardPipelineTest, ShardAndSpillGridMatchesPinnedDefaultByteForByte) {
   const std::uint64_t seed = 20170530;
   TempDir dir("dockmine_shard_grid");
   PipelineOptions base = small_options(seed);
 
-  auto monolithic = run_end_to_end(base);
-  ASSERT_TRUE(monolithic.ok()) << monolithic.error().message();
-  ASSERT_TRUE(monolithic.value().file_index != nullptr);
-  const std::string golden = pipeline_report_json(monolithic.value()).dump();
+  const std::string golden = default_golden(base);
   ASSERT_FALSE(golden.empty());
 
   int case_id = 0;
@@ -90,7 +121,7 @@ TEST(ShardPipelineTest, ShardAndSpillGridMatchesMonolithicByteForByte) {
           (dir.path / ("case-" + std::to_string(case_id++))).string();
       PipelineResult sharded = run_sharded(base, shards, spill, spill_dir);
       EXPECT_EQ(golden, pipeline_report_json(sharded).dump());
-      EXPECT_TRUE(sharded.shard_summary.enabled);
+      EXPECT_EQ(sharded.shard_summary.shards, shards);
       EXPECT_TRUE(sharded.file_index == nullptr);
       EXPECT_GT(sharded.shard_summary.observations, 0u);
       EXPECT_GT(sharded.shard_summary.distinct_contents, 0u);
@@ -122,9 +153,8 @@ TEST(ShardPipelineTest, DiagonalSeedsMatchUnderMaxSpill) {
     TempDir dir("dockmine_shard_seed_" + std::to_string(seed));
     PipelineOptions base = small_options(seed);
 
-    auto monolithic = run_end_to_end(base);
-    ASSERT_TRUE(monolithic.ok()) << monolithic.error().message();
-    const std::string golden = pipeline_report_json(monolithic.value()).dump();
+    const std::string golden = default_golden(base);
+    ASSERT_FALSE(golden.empty());
 
     PipelineResult sharded =
         run_sharded(base, 16, Spill::kAll, dir.path.string());
@@ -151,31 +181,45 @@ TEST(ShardPipelineTest, MultiNodeSplitReproducesSingleNodeReportExactly) {
 
   for (std::uint32_t nodes : {2u, 3u}) {
     SCOPED_TRACE("nodes " + std::to_string(nodes));
-    MultiNodeOptions options;
-    options.base = base;
-    options.nodes = nodes;
-    options.export_root =
-        (dir.path / ("split-" + std::to_string(nodes))).string();
-    auto result = run_multi_node(options);
-    ASSERT_TRUE(result.ok()) << result.error().message();
-    const MultiNodeResult& mn = result.value();
-    ASSERT_EQ(mn.node_results.size(), nodes);
-    ASSERT_EQ(mn.shard_set_dirs.size(), nodes);
+    // K runs, each node i of K spilling into and exporting to its own
+    // directory, folded exactly as the coordinator folds its leases.
+    std::vector<NodeContribution> contributions;
+    std::vector<std::size_t> node_images;
+    for (std::uint32_t node = 0; node < nodes; ++node) {
+      const std::string node_dir =
+          (dir.path / ("split-" + std::to_string(nodes)) /
+           ("node-" + std::to_string(node)))
+              .string();
+      PipelineOptions options = base;
+      options.node_count = nodes;
+      options.node_index = node;
+      options.shard.spill_dir = node_dir;
+      options.shard_export_dir = node_dir;
+      auto run = run_end_to_end(options);
+      ASSERT_TRUE(run.ok()) << run.error().message();
+      node_images.push_back(run.value().images.size());
+      contributions.push_back(
+          contribution_of(std::move(run).value(), node_dir));
+    }
+    ASSERT_EQ(contributions.size(), nodes);
+    ASSERT_EQ(node_images.size(), nodes);
+    auto combined = fold_contributions(contributions);
+    ASSERT_TRUE(combined.ok()) << combined.error().message();
 
     // Each unique layer is owned by exactly one node, so the folded union
     // is the single-node dataset — byte for byte.
-    EXPECT_EQ(golden, analysis_report_json(mn.combined).dump());
-    EXPECT_TRUE(mn.combined.shard_summary.enabled);
-    EXPECT_GT(mn.combined.shard_summary.runs_merged, 0u);
-    EXPECT_EQ(mn.combined.shard_summary.observations,
+    EXPECT_EQ(golden, analysis_report_json(combined.value()).dump());
+    EXPECT_EQ(combined.value().shard_summary.shards, 4u);
+    EXPECT_GT(combined.value().shard_summary.runs_merged, 0u);
+    EXPECT_EQ(combined.value().shard_summary.observations,
               single_run.value().shard_summary.observations);
-    EXPECT_EQ(mn.combined.shard_summary.distinct_contents,
+    EXPECT_EQ(combined.value().shard_summary.distinct_contents,
               single_run.value().shard_summary.distinct_contents);
     // Every node did real work: delivered images partition the full set.
     std::size_t images = 0;
-    for (const auto& node : mn.node_results) {
-      EXPECT_GT(node.images.size(), 0u);
-      images += node.images.size();
+    for (const std::size_t count : node_images) {
+      EXPECT_GT(count, 0u);
+      images += count;
     }
     EXPECT_EQ(images, single_run.value().images.size());
   }

@@ -9,9 +9,9 @@
 //   2. Epoch equivalence: after apply_epoch(K), the incrementally
 //      maintained analysis report is byte-identical to a from-scratch
 //      batch run over the epoch-K registry — for every seed and epoch
-//      depth, with the monolithic and the sharded dedup backend, because
-//      the canonical serializer is shared and built from order-independent
-//      aggregates only.
+//      depth, and for one or several shards in the batch run's dedup
+//      store, because the canonical serializer is shared and built from
+//      order-independent aggregates only.
 //   3. Crash shapes: a canceled epoch commits nothing; a re-applied epoch
 //      resumes verified blobs from the checkpoint; a full restart-replay
 //      (fresh analyzer, same checkpoint) reproduces the same bytes. The
@@ -115,7 +115,7 @@ struct Stack {
 /// The from-scratch side: rebuild the epoch-K registry and run the batch
 /// pipeline over it through the external-service hook.
 std::string batch_oracle_dump(std::uint64_t seed, std::uint32_t epoch,
-                              std::uint32_t shards = 0,
+                              std::uint32_t shards = 1,
                               std::uint64_t repos = kRepos) {
   synth::HubModel hub(synth::Calibration::light(), synth::Scale{repos, seed});
   temporal::EpochModel model(hub);

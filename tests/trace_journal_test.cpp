@@ -260,22 +260,48 @@ TEST(TraceJournalTest, MergeObsFoldsNodeExportsToSumOfParts) {
   obs::reset_all();
   obs::set_enabled(true);
 
-  core::MultiNodeOptions options;
-  options.base = small_options(20170530);
-  options.base.shard.shards = 4;
-  options.nodes = 3;
-  options.export_root = (dir.path / "shards").string();
-  options.obs_export_dir = (dir.path / "obs").string();
-  auto run = core::run_multi_node(options);
+  // Three nodes of a K = 3 split, each bracketed like a separate process:
+  // a clean registry/tracer/journal with its node id stamped on every
+  // metric snapshot and trace event, then its own obs export file.
+  constexpr std::uint32_t kNodes = 3;
+  std::vector<core::NodeContribution> contributions;
+  std::vector<std::string> export_files;
+  std::filesystem::create_directories(dir.path / "obs");
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    const std::string shard_dir =
+        (dir.path / "shards" / ("node-" + std::to_string(node))).string();
+    core::PipelineOptions options = small_options(20170530);
+    options.shard.shards = 4;
+    options.node_count = kNodes;
+    options.node_index = node;
+    options.shard.spill_dir = shard_dir;
+    options.shard_export_dir = shard_dir;
+    obs::reset_all();
+    obs::set_node_id(node);
+    auto run = core::run_end_to_end(options);
+    const std::string obs_file =
+        (dir.path / "obs" / ("obs-node-" + std::to_string(node) + ".json"))
+            .string();
+    {
+      std::ofstream file(obs_file, std::ios::binary | std::ios::trunc);
+      file << obs::to_json(obs::collect()).dump();
+      ASSERT_TRUE(file.good()) << obs_file;
+    }
+    obs::reset_all();
+    ASSERT_TRUE(run.ok()) << run.error().message();
+    export_files.push_back(obs_file);
+    contributions.push_back(
+        core::contribution_of(std::move(run).value(), shard_dir));
+  }
   obs::set_enabled(false);
-  ASSERT_TRUE(run.ok()) << run.error().message();
-  ASSERT_EQ(run.value().obs_export_files.size(), 3u);
+  ASSERT_TRUE(core::fold_contributions(contributions).ok());
+  ASSERT_EQ(export_files.size(), 3u);
 
   // Independently sum a few series straight out of the per-node JSON, then
   // check the library merge agrees: the fold is sum-of-parts, not lossy.
   std::uint64_t layers_sum = 0;
   std::uint64_t hist_count_sum = 0;
-  for (const auto& file : run.value().obs_export_files) {
+  for (const auto& file : export_files) {
     std::ifstream in(file);
     ASSERT_TRUE(in.is_open()) << file;
     std::stringstream buffer;
@@ -293,7 +319,7 @@ TEST(TraceJournalTest, MergeObsFoldsNodeExportsToSumOfParts) {
   }
   EXPECT_GT(layers_sum, 0u);
 
-  auto merged = obs::merge_obs_exports(run.value().obs_export_files);
+  auto merged = obs::merge_obs_exports(export_files);
   ASSERT_TRUE(merged.ok()) << merged.error().message();
   const auto& result = merged.value();
   ASSERT_EQ(result.nodes.size(), 3u);

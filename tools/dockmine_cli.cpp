@@ -362,19 +362,12 @@ int cmd_metrics(const Flags& flags) {
   options.download_workers = flags.u64("workers", 4);
   options.analyze_workers = flags.u64("workers", 4);
 
-  options.shard.shards = static_cast<std::uint32_t>(flags.u64("shards", 0));
+  options.shard.shards = static_cast<std::uint32_t>(flags.u64("shards", 1));
   options.shard.spill_threshold_bytes = flags.u64("spill-mb", 64) << 20;
   options.shard.spill_dir = flags.str("spill-dir");
   options.shard_export_dir = flags.str("export-shards");
   options.node_count = static_cast<std::uint32_t>(flags.u64("nodes", 1));
   options.node_index = static_cast<std::uint32_t>(flags.u64("node", 0));
-  if (options.shard.shards == 0 &&
-      (options.node_count > 1 || !options.shard.spill_dir.empty() ||
-       !options.shard_export_dir.empty())) {
-    std::cerr << "metrics: --spill-dir/--export-shards/--nodes require"
-                 " --shards N\n";
-    return 2;
-  }
   if (options.node_index >= options.node_count) {
     std::cerr << "metrics: --node must be < --nodes\n";
     return 2;
@@ -449,24 +442,22 @@ int cmd_metrics(const Flags& flags) {
       std::cout << "trace written to " << trace_out << "\n";
     }
     const auto& sharded = result.value().shard_summary;
-    if (sharded.enabled) {
-      std::cout << "shards: " << sharded.shards << " shards, "
-                << util::format_count(sharded.observations)
-                << " observations -> "
-                << util::format_count(sharded.distinct_contents)
-                << " distinct contents, " << sharded.spills << " spills ("
-                << util::format_bytes(sharded.spilled_bytes)
-                << "), peak resident "
-                << util::format_bytes(sharded.peak_resident_bytes) << ", "
-                << sharded.runs_merged << " runs merged";
-      if (sharded.metadata_conflicts != 0) {
-        std::cout << ", " << sharded.metadata_conflicts << " conflicts";
-      }
-      if (!sharded.export_manifest.empty()) {
-        std::cout << "\nexported shard set: " << sharded.export_manifest;
-      }
-      std::cout << "\n";
+    std::cout << "shards: " << sharded.shards << " shards, "
+              << util::format_count(sharded.observations)
+              << " observations -> "
+              << util::format_count(sharded.distinct_contents)
+              << " distinct contents, " << sharded.spills << " spills ("
+              << util::format_bytes(sharded.spilled_bytes)
+              << "), peak resident "
+              << util::format_bytes(sharded.peak_resident_bytes) << ", "
+              << sharded.runs_merged << " runs merged";
+    if (sharded.metadata_conflicts != 0) {
+      std::cout << ", " << sharded.metadata_conflicts << " conflicts";
     }
+    if (!sharded.export_manifest.empty()) {
+      std::cout << "\nexported shard set: " << sharded.export_manifest;
+    }
+    std::cout << "\n";
   }
   return 0;
 }
@@ -725,6 +716,12 @@ int cmd_evolve(const Flags& flags) {
   return 0;
 }
 
+/// Exit status for a daemon that failed to start: 2 when the flags asked
+/// for an invalid job (check_job_spec), 1 for anything else.
+int usage_or_failure(const util::Error& error) {
+  return error.code() == util::ErrorCode::kInvalidArgument ? 2 : 1;
+}
+
 /// The job flags shared by serve and coordinate.
 core::JobSpec job_spec_from(const Flags& flags) {
   core::JobSpec spec;
@@ -785,7 +782,7 @@ int cmd_serve(const Flags& flags) {
   core::serve::ServeDaemon daemon(std::move(options));
   if (auto started = daemon.start(); !started.ok()) {
     std::cerr << "serve: " << started.error().to_string() << "\n";
-    return 1;
+    return usage_or_failure(started.error());
   }
   const auto snapshot = daemon.snapshot();
   const std::string report_out = flags.str("report-out");
@@ -947,7 +944,7 @@ int cmd_coordinate(const Flags& flags) {
   core::Coordinator coordinator(options);
   if (auto bound = coordinator.bind(); !bound.ok()) {
     std::cerr << "coordinate: " << bound.error().to_string() << "\n";
-    return 1;
+    return usage_or_failure(bound.error());
   }
   std::cerr << "coordinate: listening on 127.0.0.1:" << coordinator.port()
             << ", " << options.leases << " lease(s)\n";
