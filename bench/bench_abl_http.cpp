@@ -27,7 +27,7 @@ int main() {
   const auto crawl = crawler.crawl_all();
 
   registry::HttpGateway gateway(service, &search);
-  auto server = gateway.serve(0, 8);
+  auto server = gateway.serve();
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.error().to_string().c_str());
     return 1;

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   }
   registry::SearchIndex search(service);
   registry::HttpGateway gateway(service, &search);
-  auto server = gateway.serve(0, workers);
+  auto server = gateway.serve();
   if (!server.ok()) {
     std::cerr << "serve: " << server.error().to_string() << "\n";
     return 1;

@@ -14,31 +14,23 @@
 #include "dockmine/compress/crc32.h"
 #include "dockmine/core/multi_node.h"
 #include "dockmine/core/wire.h"
-#include "dockmine/http/socket.h"
+#include "dockmine/http/server.h"
 #include "dockmine/registry/manifest.h"
 #include "dockmine/obs/journal.h"
 #include "dockmine/obs/obs.h"
 #include "dockmine/util/rng.h"
+#include "dockmine/util/stopwatch.h"
 
 namespace dockmine::core {
 namespace {
 
-double mono_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// One connected worker process. The socket, frame buffer, and in-flight
-/// result reception belong to the connection's reader thread; everything
-/// else is guarded by Impl::mutex. Socket writes (lease grants, shutdown)
-/// are serialized by `write_mutex`, acquired after the state mutex.
+/// One connected worker process. The in-flight result reception belongs to
+/// the connection's thread; everything else is guarded by Impl::mutex.
+/// Sends go through `link`, released when the worker is dropped (the
+/// record itself stays for DistStats).
 struct WorkerConn {
   std::uint64_t id = 0;    ///< coordinator connection id (lease owner key)
-  std::uint64_t pid = 0;   ///< worker-announced, for diagnostics
-  http::Socket socket;
-  std::mutex write_mutex;
-  std::thread reader;
+  std::shared_ptr<http::Connection> link;
   bool alive = true;
   bool saw_hello = false;
   double last_beat_ms = 0.0;  ///< refreshed on dispatch and each heartbeat
@@ -58,9 +50,8 @@ struct WorkerConn {
   double prev_beat_obs_ms = 0.0;
   std::uint64_t prev_counter_total = 0;
 
-  // Reader-thread-only: the result header whose binary file frames are
+  // Connection-thread-only: the result header whose binary file frames are
   // currently streaming in.
-  wire::FrameBuffer frames;
   std::optional<wire::LeaseResult> pending_result;
   std::size_t pending_file = 0;
   std::string pending_dir;
@@ -103,11 +94,23 @@ struct Coordinator::Impl {
       : options(std::move(opts)),
         table(options.leases == 0 ? 1 : options.leases),
         rng(options.seed),
-        lease_backoff_prev(table.count(), 0.0) {}
+        lease_backoff_prev(table.count(), 0.0),
+        server([this](std::shared_ptr<http::Connection> link) {
+                 return connect_worker(std::move(link));
+               },
+               server_options(options), "dockmine_coord") {}
+
+  static http::ServerOptions server_options(const CoordinatorOptions& options) {
+    http::ServerOptions server;
+    server.port = options.port;
+    server.io_timeout_ms = options.io_timeout_ms;
+    // A worker stalled mid-frame sends no heartbeat either, so it is
+    // already dead by this deadline.
+    server.slowloris_ms = options.heartbeat_deadline_ms;
+    return server;
+  }
 
   CoordinatorOptions options;
-  http::Listener listener;
-  std::thread acceptor;
 
   std::mutex mutex;  // guards everything below
   std::vector<std::unique_ptr<WorkerConn>> workers;
@@ -134,9 +137,15 @@ struct Coordinator::Impl {
     return false;
   }
 
-  WorkerConn* find_worker(std::uint64_t worker_id) {
-    for (auto& conn : workers)
-      if (conn->id == worker_id) return conn.get();
+  /// An alive, greeted, idle worker the breaker admits (other than
+  /// `except`), or nullptr.
+  WorkerConn* idle_worker(double now_ms, std::uint64_t except = 0) {
+    for (auto& conn : workers) {
+      if (conn->alive && conn->saw_hello && conn->id != except &&
+          !worker_busy(conn->id) && conn->breaker.allow(now_ms)) {
+        return conn.get();
+      }
+    }
     return nullptr;
   }
 
@@ -169,8 +178,8 @@ struct Coordinator::Impl {
   }
 
   /// Declare a worker gone (socket closed, poisoned stream, or missed
-  /// heartbeat deadline): release its leases back to pending and unblock
-  /// its reader via shutdown (never a cross-thread close).
+  /// heartbeat deadline): release its leases back to pending, then shut
+  /// its connection down (never a cross-thread close) and let go of it.
   void drop_worker(WorkerConn& conn, double now_ms) {
     if (!conn.alive) return;
     conn.alive = false;
@@ -179,7 +188,10 @@ struct Coordinator::Impl {
          table.release_owner(conn.id, next_backoff_for_release(now_ms))) {
       on_lease_reassigned(lease);
     }
-    conn.socket.shutdown_both();
+    if (conn.link) {  // gone already once shutdown_workers took it
+      conn.link->shutdown();
+      conn.link.reset();
+    }
   }
 
   double next_backoff_for_release(double now_ms) {
@@ -190,8 +202,8 @@ struct Coordinator::Impl {
                         options.retry.max_delay_ms, 0.0, rng);
   }
 
-  /// Send one lease grant (the state mutex is held; the write mutex nests
-  /// inside it). A failed write means the worker is already gone.
+  /// Send one lease grant (the state mutex is held; the connection's send
+  /// lock nests inside it). A failed write means the worker is gone.
   void send_lease(WorkerConn& conn, std::uint32_t lease, double now_ms) {
     const LeaseStatus& status = table.status(lease);
     json::Value msg = json::Value::object();
@@ -203,11 +215,7 @@ struct Coordinator::Impl {
     msg.set("spec", wire::job_spec_to_json(options.spec));
     const std::string frame =
         wire::encode_frame(wire::FrameKind::kJson, msg.dump());
-    util::Status wrote = util::Status::success();
-    {
-      std::lock_guard<std::mutex> write_lock(conn.write_mutex);
-      wrote = conn.socket.write_all(frame);
-    }
+    const util::Status wrote = conn.link->send(frame);
     conn.last_beat_ms = now_ms;  // liveness clock starts at dispatch
     if (!wrote.ok()) {
       ++stats.worker_disconnects;
@@ -223,37 +231,35 @@ struct Coordinator::Impl {
     return total;
   }
 
-  // -- reader-thread entry points (they take the state mutex) ------------
+  // -- connection-thread entry points (they take the state mutex) --------
 
   void on_disconnect(WorkerConn& conn) {
     std::lock_guard<std::mutex> lock(mutex);
     if (stopping || !conn.alive) return;
     ++stats.worker_disconnects;
-    drop_worker(conn, mono_ms());
+    drop_worker(conn, util::mono_ms());
   }
 
-  void on_malformed(WorkerConn& conn, const std::string& what) {
+  void on_malformed(WorkerConn& conn) {
     std::lock_guard<std::mutex> lock(mutex);
     if (!conn.alive) return;
     ++stats.malformed_frames;
     obs::Registry::global().counter("dockmine_coord_malformed_frames_total").add();
-    (void)what;
     // A poisoned stream cannot be resynchronized: the connection dies and
     // the worker's leases go back to pending.
-    drop_worker(conn, mono_ms());
+    drop_worker(conn, util::mono_ms());
   }
 
-  void on_hello(WorkerConn& conn, const json::Value& msg) {
+  void on_hello(WorkerConn& conn) {
     std::lock_guard<std::mutex> lock(mutex);
     conn.saw_hello = true;
-    conn.pid = msg["pid"].as_uint();
   }
 
   void on_heartbeat(WorkerConn& conn, const json::Value& msg) {
     std::lock_guard<std::mutex> lock(mutex);
     ++stats.heartbeats_received;
     obs::Registry::global().counter("dockmine_coord_heartbeats_total").add();
-    conn.last_beat_ms = mono_ms();
+    conn.last_beat_ms = util::mono_ms();
 
     // Aggregate the worker's sampled series: sum its counter snapshot and
     // publish the per-second delta between consecutive beats as a gauge,
@@ -289,7 +295,7 @@ struct Coordinator::Impl {
     if (lease >= table.count()) return;
     ++stats.lease_failures;
     if (conn.outstanding > 0) --conn.outstanding;
-    const double now = mono_ms();
+    const double now = util::mono_ms();
     conn.breaker.on_failure(now);
     if (table.fail(lease, conn.id, next_backoff(lease, now))) {
       on_lease_reassigned(lease);
@@ -304,7 +310,7 @@ struct Coordinator::Impl {
     const std::string digest = result_digest(result);
 
     std::lock_guard<std::mutex> lock(mutex);
-    const double now = mono_ms();
+    const double now = util::mono_ms();
     conn.breaker.on_success();
     conn.last_beat_ms = now;
     if (conn.outstanding > 0) --conn.outstanding;
@@ -338,28 +344,32 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Reader-thread frame dispatch. Returns false once the connection must
-  /// be abandoned (poisoned stream / protocol violation).
-  bool handle_frame(WorkerConn& conn, wire::Frame& frame) {
+  /// A local failure on a connection thread: fail the run and end the
+  /// connection.
+  util::Status fail_locally(util::Error error) {
+    std::lock_guard<std::mutex> lock(mutex);
+    fail_run(error);
+    return error;
+  }
+
+  /// Connection-thread frame dispatch. A protocol violation (kCorrupt)
+  /// poisons the connection, like a malformed frame.
+  util::Status handle_frame(WorkerConn& conn, wire::Frame& frame) {
     if (frame.kind == wire::FrameKind::kBinary) {
       if (!conn.pending_result ||
           conn.pending_file >= conn.pending_result->files.size()) {
-        on_malformed(conn, "binary frame outside a result");
-        return false;
+        return util::corrupt("coordinate: binary frame outside a result");
       }
       const wire::FileEntry& entry =
           conn.pending_result->files[conn.pending_file];
       if (frame.payload.size() != entry.size) {
-        on_malformed(conn, "file frame size mismatch");
-        return false;
+        return util::corrupt("coordinate: file frame size mismatch");
       }
       const std::string path =
           (std::filesystem::path(conn.pending_dir) / entry.name).string();
       std::ofstream file(path, std::ios::binary | std::ios::trunc);
       if (!file.is_open() || !(file << frame.payload)) {
-        std::lock_guard<std::mutex> lock(mutex);
-        fail_run(util::internal("coordinate: cannot write " + path));
-        return false;
+        return fail_locally(util::internal("coordinate: cannot write " + path));
       }
       ++conn.pending_file;
       {
@@ -370,37 +380,30 @@ struct Coordinator::Impl {
       if (conn.pending_file == conn.pending_result->files.size()) {
         on_result_complete(conn);
       }
-      return true;
+      return util::Status::success();
     }
 
     auto parsed = json::parse(frame.payload);
     if (!parsed.ok() || !parsed.value().is_object()) {
-      on_malformed(conn, "unparseable control frame");
-      return false;
+      return util::corrupt("coordinate: unparseable control frame");
     }
     const json::Value msg = std::move(parsed).value();
     const std::string& type = msg["type"].as_string();
     if (type == "hello") {
-      on_hello(conn, msg);
-      return true;
-    }
-    if (type == "heartbeat") {
+      on_hello(conn);
+    } else if (type == "heartbeat") {
       on_heartbeat(conn, msg);
-      return true;
-    }
-    if (type == "lease-failed") {
+    } else if (type == "lease-failed") {
       on_lease_failed(conn, msg);
-      return true;
-    }
-    if (type == "result") {
+    } else if (type != "result") {
+      return util::corrupt("coordinate: unknown message type: " + type);
+    } else {
       if (conn.pending_result) {
-        on_malformed(conn, "result inside a result");
-        return false;
+        return util::corrupt("coordinate: result inside a result");
       }
       auto result = wire::lease_result_from_json(msg);
       if (!result.ok() || result.value().lease >= table.count()) {
-        on_malformed(conn, "bad result header");
-        return false;
+        return util::corrupt("coordinate: bad result header");
       }
       conn.pending_result = std::move(result).value();
       conn.pending_file = 0;
@@ -412,72 +415,36 @@ struct Coordinator::Impl {
       std::error_code ec;
       std::filesystem::create_directories(conn.pending_dir, ec);
       if (ec) {
-        std::lock_guard<std::mutex> lock(mutex);
-        fail_run(util::internal("coordinate: cannot create " +
-                                conn.pending_dir));
-        return false;
+        return fail_locally(
+            util::internal("coordinate: cannot create " + conn.pending_dir));
       }
       if (conn.pending_result->files.empty()) on_result_complete(conn);
-      return true;
     }
-    on_malformed(conn, "unknown message type: " + type);
-    return false;
+    return util::Status::success();
   }
 
-  void reader_loop(WorkerConn& conn) {
-    for (;;) {
-      auto chunk = conn.socket.read_some();
-      if (!chunk.ok()) {
-        if (chunk.error().code() == util::ErrorCode::kTimeout) {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (stopping || !conn.alive) return;
-          continue;
-        }
-        on_disconnect(conn);
-        return;
-      }
-      if (chunk.value().empty()) {
-        on_disconnect(conn);
-        return;
-      }
-      conn.frames.feed(chunk.value());
-      wire::Frame frame;
-      for (;;) {
-        auto polled = conn.frames.poll(frame);
-        if (!polled.ok()) {
-          on_malformed(conn, polled.error().message());
-          return;
-        }
-        if (!polled.value()) break;
-        if (!handle_frame(conn, frame)) return;
-      }
-    }
-  }
-
-  void accept_loop() {
-    std::uint64_t next_id = 0;
-    for (;;) {
-      auto accepted = listener.accept_one();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (stopping) return;
-      }
-      if (!accepted.ok()) {
-        if (!listener.valid()) return;
-        continue;
-      }
-      auto conn = std::make_unique<WorkerConn>();
-      conn->id = ++next_id;
-      conn->socket = std::move(accepted).value();
-      (void)conn->socket.set_timeout_ms(options.io_timeout_ms);
-      conn->breaker = registry::CircuitBreaker(options.breaker);
-      conn->last_beat_ms = mono_ms();
-      WorkerConn* raw = conn.get();
+  /// A new connection: a worker record (kept for DistStats after the worker
+  /// goes) and the DMWF protocol that feeds handle_frame.
+  std::unique_ptr<http::Protocol> connect_worker(
+      std::shared_ptr<http::Connection> link) {
+    WorkerConn* conn = nullptr;
+    {
+      auto record = std::make_unique<WorkerConn>();
+      record->link = std::move(link);
+      record->breaker = registry::CircuitBreaker(options.breaker);
+      record->last_beat_ms = util::mono_ms();
       std::lock_guard<std::mutex> lock(mutex);
-      ++stats.workers_connected;
-      workers.push_back(std::move(conn));
-      raw->reader = std::thread([this, raw] { reader_loop(*raw); });
+      record->id = ++stats.workers_connected;
+      conn = record.get();
+      workers.push_back(std::move(record));
     }
+    auto protocol = std::make_unique<wire::FrameProtocol>();
+    protocol->on_frame = [this, conn](wire::Frame& frame) {
+      return handle_frame(*conn, frame);
+    };
+    protocol->on_poisoned = [this, conn] { on_malformed(*conn); };
+    protocol->on_closed = [this, conn] { on_disconnect(*conn); };
+    return protocol;
   }
 
   /// One scheduler pass: liveness, assignment, straggler re-dispatch.
@@ -505,14 +472,7 @@ struct Coordinator::Impl {
     for (;;) {
       auto lease = table.next_pending(now_ms);
       if (!lease) break;
-      WorkerConn* target = nullptr;
-      for (auto& conn : workers) {
-        if (conn->alive && conn->saw_hello && !worker_busy(conn->id) &&
-            conn->breaker.allow(now_ms)) {
-          target = conn.get();
-          break;
-        }
-      }
+      WorkerConn* target = idle_worker(now_ms);
       if (!target) break;
       if (!table.assign(*lease, target->id, now_ms).ok()) break;
       send_lease(*target, *lease, now_ms);
@@ -537,15 +497,7 @@ struct Coordinator::Impl {
       if (status.state != LeaseState::kRunning || status.owners.size() != 1)
         continue;
       if (now_ms - status.started_ms < threshold) continue;
-      const std::uint64_t current_owner = status.owners[0];
-      WorkerConn* target = nullptr;
-      for (auto& conn : workers) {
-        if (conn->alive && conn->saw_hello && conn->id != current_owner &&
-            !worker_busy(conn->id) && conn->breaker.allow(now_ms)) {
-          target = conn.get();
-          break;
-        }
-      }
+      WorkerConn* target = idle_worker(now_ms, status.owners[0]);
       if (!target) continue;
       if (!table.assign_duplicate(i, target->id).ok()) continue;
       ++stats.straggler_redispatches;
@@ -556,27 +508,25 @@ struct Coordinator::Impl {
   }
 
   void shutdown_workers() {
-    std::vector<WorkerConn*> conns;
+    std::vector<std::shared_ptr<http::Connection>> links;
     {
       std::lock_guard<std::mutex> lock(mutex);
       stopping = true;
-      for (auto& conn : workers) conns.push_back(conn.get());
+      for (auto& conn : workers) {
+        if (conn->link) links.push_back(std::move(conn->link));
+      }
     }
     const std::string frame = wire::encode_frame(
         wire::FrameKind::kJson, R"({"type":"shutdown"})");
-    for (WorkerConn* conn : conns) {
-      {
-        std::lock_guard<std::mutex> write_lock(conn->write_mutex);
-        (void)conn->socket.write_all(frame);
-      }
-      conn->socket.shutdown_both();
+    for (const auto& link : links) {
+      (void)link->send(frame);
+      link->shutdown();
     }
-    listener.close();
-    if (acceptor.joinable()) acceptor.join();
-    for (WorkerConn* conn : conns) {
-      if (conn->reader.joinable()) conn->reader.join();
-    }
+    server.stop();
   }
+
+  /// Declared last: destroyed first, once shutdown_workers() stopped it.
+  http::Server server;
 };
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -595,20 +545,20 @@ util::Status Coordinator::bind() {
     return util::internal("coordinate: cannot create work_dir " +
                           impl_->options.work_dir);
   }
-  return impl_->listener.bind_loopback(impl_->options.port);
+  return impl_->server.bind();
 }
 
 std::uint16_t Coordinator::port() const noexcept {
-  return impl_->listener.port();
+  return impl_->server.port();
 }
 
 util::Result<CoordinatorReport> Coordinator::run() {
   Impl& impl = *impl_;
-  if (!impl.listener.valid())
+  if (impl.server.port() == 0)
     return util::internal("coordinate: run() before bind()");
   obs::EventSpan span("coordinate");
-  const double start_ms = mono_ms();
-  impl.acceptor = std::thread([&impl] { impl.accept_loop(); });
+  const double start_ms = util::mono_ms();
+  if (auto started = impl.server.start(); !started.ok()) return started.error();
 
   const auto tick = std::chrono::milliseconds(
       impl.options.scheduler_tick_ms == 0 ? 1
@@ -623,7 +573,7 @@ util::Result<CoordinatorReport> Coordinator::run() {
       std::lock_guard<std::mutex> lock(impl.mutex);
       if (impl.failure) break;
       if (impl.table.all_done()) {
-        const double now = mono_ms();
+        const double now = util::mono_ms();
         if (impl.outstanding_total() == 0) break;
         if (drain_deadline_ms == 0.0) {
           drain_deadline_ms =
@@ -632,21 +582,22 @@ util::Result<CoordinatorReport> Coordinator::run() {
           break;
         }
       }
-      if (mono_ms() - start_ms >
+      if (util::mono_ms() - start_ms >
           static_cast<double>(impl.options.max_wall_ms)) {
         impl.fail_run(util::timeout(
             "coordinate: run exceeded max_wall_ms without converging"));
         break;
       }
     }
-    impl.tick(mono_ms());
+    impl.tick(util::mono_ms());
     std::this_thread::sleep_for(tick);
   }
   impl.shutdown_workers();
 
   std::lock_guard<std::mutex> lock(impl.mutex);
   impl.stats.leases = impl.table.count();
-  impl.stats.elapsed_ms = mono_ms() - start_ms;
+  impl.stats.elapsed_ms = util::mono_ms() - start_ms;
+  impl.stats.connections = impl.server.stats();
   if (impl.failure) return *impl.failure;
 
   // Fold in lease order — node order, as an in-process K-way split folds

@@ -20,11 +20,11 @@
 //     comparison (`duplicate_mismatches` must stay 0 — leases are
 //     idempotent by construction).
 //
-// Threading: one accept thread, one reader thread per connection, and the
-// scheduler loop on the run() caller's thread. All shared state (lease
-// table, worker map, stats) lives behind one mutex; per-connection socket
-// writes are serialized by a per-worker write mutex acquired after (never
-// before) the state mutex.
+// Threading: the shared http::Server runs one thread per connection (one
+// stalled mid-frame is dropped after `heartbeat_deadline_ms`; a dropped
+// worker's thread and fd go at once, its record stays for DistStats), and
+// the scheduler loop runs on the run() caller's thread. All shared state
+// lives behind one mutex; a connection's send lock nests inside it.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,7 @@
 
 #include "dockmine/core/lease.h"
 #include "dockmine/core/pipeline.h"
+#include "dockmine/http/server.h"
 #include "dockmine/obs/export.h"
 #include "dockmine/registry/resilient.h"
 #include "dockmine/util/error.h"
@@ -66,7 +67,7 @@ struct CoordinatorOptions {
   registry::BreakerPolicy breaker;  ///< per-worker assignment breaker
   std::uint64_t seed = 0x5eed;      ///< backoff jitter stream
 
-  std::uint32_t io_timeout_ms = 250;     ///< reader-thread recv deadline
+  std::uint32_t io_timeout_ms = 250;     ///< connection read poll
   std::uint64_t scheduler_tick_ms = 20;  ///< liveness/assignment cadence
   /// Whole-run wall clamp: exceeded => the run fails with kTimeout instead
   /// of waiting forever on a cluster that cannot converge.
@@ -95,6 +96,7 @@ struct DistStats {
   std::uint64_t files_received = 0;
   std::uint64_t bytes_received = 0;
   double elapsed_ms = 0.0;
+  http::ServerStats connections;  ///< the shared server's own counts
 };
 
 struct CoordinatorReport {

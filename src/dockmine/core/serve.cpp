@@ -1,10 +1,11 @@
 #include "dockmine/core/serve.h"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -13,15 +14,10 @@
 #include "dockmine/obs/journal.h"
 #include "dockmine/obs/obs.h"
 #include "dockmine/obs/timeseries.h"
+#include "dockmine/util/stopwatch.h"
 
 namespace dockmine::core::serve {
 namespace {
-
-double mono_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// The report's fixed quantile grid (pipeline.cpp ecdf_json); quantile
 /// queries must land on it exactly so their answers are slices of the
@@ -37,11 +33,48 @@ int grid_index(double q) {
   return -1;
 }
 
+/// Every request label: the query selectors, then the other request kinds.
+/// The parser admits nothing else, so the set is closed.
+constexpr std::string_view kLabels[] = {
+    "report",  "image",  "layer",  "content", "types",        "ecdf",
+    "status",  "stats",  "top",    "repos",   "metrics",      "trace-tail",
+    "slowlog", "ingest", "ingest-epoch",      "shutdown"};
+constexpr auto kQueriesEnd = std::begin(kLabels) + 13;
+
 bool known_query(const std::string& q) {
-  return q == "report" || q == "image" || q == "layer" || q == "content" ||
-         q == "types" || q == "ecdf" || q == "status" || q == "stats" ||
-         q == "top" || q == "repos" || q == "metrics" || q == "trace-tail" ||
-         q == "slowlog";
+  return std::find(std::begin(kLabels), kQueriesEnd, q) != kQueriesEnd;
+}
+
+std::size_t label_index(const Request& request) {
+  const std::string_view label =
+      request.kind == RequestKind::kQuery         ? std::string_view(request.q)
+      : request.kind == RequestKind::kIngest      ? "ingest"
+      : request.kind == RequestKind::kIngestEpoch ? "ingest-epoch"
+                                                  : "shutdown";
+  return static_cast<std::size_t>(
+      std::find(std::begin(kLabels), std::end(kLabels), label) -
+      std::begin(kLabels));
+}
+
+/// One label's request counter and latency histogram, looked up on the
+/// label's first request (so the exported series are exactly the labels
+/// seen) and never again.
+struct RequestInstruments {
+  std::once_flag once;
+  obs::Counter* requests = nullptr;
+  obs::Histogram* latency = nullptr;
+};
+
+RequestInstruments& instruments_for(std::size_t label) {
+  static std::array<RequestInstruments, std::size(kLabels)> table;
+  RequestInstruments& slot = table[label];
+  std::call_once(slot.once, [&slot, label] {
+    const std::string q = "{q=\"" + std::string(kLabels[label]) + "\"}";
+    obs::Registry& registry = obs::Registry::global();
+    slot.requests = &registry.counter("dockmine_serve_requests_total" + q);
+    slot.latency = &registry.histogram("dockmine_serve_request_ms" + q);
+  });
+  return slot;
 }
 
 bool known_metrics_op(const std::string& op) {
@@ -451,7 +484,19 @@ std::shared_ptr<Snapshot> snapshot_of(PipelineResult& result) {
 }  // namespace
 
 ServeDaemon::ServeDaemon(ServeOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      server_(
+          [this](std::shared_ptr<http::Connection> connection) {
+            auto protocol = std::make_unique<wire::FrameProtocol>();
+            protocol->on_frame = [this, connection](wire::Frame& frame) {
+              return answer(frame, *connection);
+            };
+            protocol->on_poisoned = [] {
+              serve_counter("dockmine_serve_malformed_frames_total").add();
+            };
+            return protocol;
+          },
+          options_, "dockmine_serve") {}
 
 ServeDaemon::~ServeDaemon() { stop(); }
 
@@ -467,7 +512,7 @@ std::string ServeDaemon::batch_dir(std::size_t index) const {
 }
 
 util::Status ServeDaemon::run_batch(const BatchSpec& spec) {
-  const std::size_t index = batches_.size();
+  const std::size_t index = batch_specs_.size();
   const std::string dir = batch_dir(index);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
@@ -491,21 +536,14 @@ util::Status ServeDaemon::run_batch(const BatchSpec& spec) {
     std::filesystem::remove_all(dir, ec);
     return util::unavailable("serve: batch canceled by shutdown");
   }
-  BatchState state;
-  state.spec = spec;
-  state.download = run.value().download;
-  state.contribution = contribution_of(std::move(run).value(), dir);
-  batches_.push_back(std::move(state));
+  batch_specs_.push_back(spec);
+  batch_downloads_.push_back(run.value().download);
+  contributions_.push_back(contribution_of(std::move(run).value(), dir));
   return util::Status::success();
 }
 
 util::Result<std::shared_ptr<Snapshot>> ServeDaemon::build_snapshot() {
-  std::vector<NodeContribution> contributions;
-  contributions.reserve(batches_.size());
-  for (const BatchState& batch : batches_) {
-    contributions.push_back(batch.contribution);
-  }
-  auto folded = fold_contributions(contributions);
+  auto folded = fold_contributions(contributions_);
   if (!folded.ok()) return folded.error();
   PipelineResult& result = folded.value();
 
@@ -514,8 +552,7 @@ util::Result<std::shared_ptr<Snapshot>> ServeDaemon::build_snapshot() {
   // field-wise sum (for a single batch, exactly that batch's stats — which
   // keeps the served pipeline_report_json byte-equal to the batch run's).
   downloader::DownloadStats total{};
-  for (const BatchState& batch : batches_) {
-    const downloader::DownloadStats& d = batch.download;
+  for (const downloader::DownloadStats& d : batch_downloads_) {
     total.attempted += d.attempted;
     total.succeeded += d.succeeded;
     total.failed_auth += d.failed_auth;
@@ -533,14 +570,12 @@ util::Result<std::shared_ptr<Snapshot>> ServeDaemon::build_snapshot() {
   result.download = total;
 
   auto snapshot = snapshot_of(result);
-  snapshot->epoch = batches_.size();
-  for (const BatchState& batch : batches_) {
-    snapshot->batches.push_back(batch.spec);
-  }
+  snapshot->epoch = batch_specs_.size();
+  snapshot->batches = batch_specs_;
 
   std::vector<std::string> dirs;
-  for (const BatchState& batch : batches_) {
-    dirs.push_back(batch.contribution.shard_set_dir);
+  for (const NodeContribution& contribution : contributions_) {
+    dirs.push_back(contribution.shard_set_dir);
   }
   auto contents = shard::ShardSetIndex::open(dirs);
   if (!contents.ok()) return contents.error();
@@ -579,8 +614,8 @@ util::Status ServeDaemon::persist_state() {
   } else {
     doc.set("version", std::uint64_t{1});
     auto specs = json::Value::array();
-    for (const BatchState& batch : batches_) {
-      specs.push_back(batch_spec_to_json(batch.spec));
+    for (const BatchSpec& spec : batch_specs_) {
+      specs.push_back(batch_spec_to_json(spec));
     }
     doc.set("batches", std::move(specs));
   }
@@ -687,7 +722,7 @@ util::Status ServeDaemon::start() {
       .gauge("dockmine_serve_epoch")
       .set(static_cast<std::int64_t>(options_.temporal_advance
                                          ? temporal_applied_ - 1
-                                         : batches_.size()));
+                                         : batch_specs_.size()));
 
   if (options_.telemetry.enabled) {
     // Continuous telemetry: own the global sampler for this daemon's
@@ -712,207 +747,67 @@ util::Status ServeDaemon::start() {
     }
   }
 
-  if (auto bound = listener_.bind_loopback(options_.port); !bound.ok()) {
-    return bound;
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return util::Status::success();
+  return server_.start();
 }
 
 void ServeDaemon::stop() {
-  stopping_.store(true, std::memory_order_release);
   cancel_ingest_.store(true, std::memory_order_release);
-  listener_.close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.swap(sessions_);
-  }
-  for (auto& session : sessions) {
-    session->socket.shutdown_both();
-  }
-  for (auto& session : sessions) {
-    if (session->thread.joinable()) session->thread.join();
-  }
+  server_.stop();
   if (telemetry_started_) {
     obs::TimeSeriesStore::global().stop_sampler();
     telemetry_started_ = false;
   }
 }
 
-void ServeDaemon::accept_loop() {
-  const std::uint64_t initial_backoff =
-      std::max<std::uint64_t>(1, options_.accept_backoff_ms);
-  std::uint64_t backoff = initial_backoff;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    auto accepted = [&]() -> util::Result<http::Socket> {
-      if (options_.accept_error_injector) {
-        if (auto injected = options_.accept_error_injector()) {
-          return *injected;
-        }
-      }
-      return listener_.accept_one();
-    }();
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (accepted.error().retryable()) {
-        // EMFILE/ENFILE/timeouts: degrade, don't die — connections drain,
-        // descriptors come back. Exponential backoff keeps a busy-loop off
-        // the CPU while the table is full.
-        serve_counter("dockmine_serve_accept_retries_total").add();
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-        backoff = std::min<std::uint64_t>(backoff * 2, 1000);
-        continue;
-      }
-      break;  // listener closed or unrecoverable
-    }
-    backoff = initial_backoff;
-
-    {
-      // Reap finished sessions so a long-lived daemon doesn't accumulate
-      // one joinable thread per past connection.
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if ((*it)->done.load(std::memory_order_acquire)) {
-          if ((*it)->thread.joinable()) (*it)->thread.join();
-          it = sessions_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-
-    auto session = std::make_unique<Session>();
-    session->socket = std::move(accepted).value();
-    Session* raw = session.get();
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(std::move(session));
-    }
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
+util::Status ServeDaemon::answer(const wire::Frame& frame,
+                                 http::Connection& connection) {
+  if (frame.kind != wire::FrameKind::kJson) {
+    return util::corrupt("serve: a binary frame is not a request");
   }
-}
-
-void ServeDaemon::session_loop(Session* session) {
-  serve_counter("dockmine_serve_connections_total").add();
-  auto& active = obs::Registry::global().gauge("dockmine_serve_active_sessions");
-  active.add(1);
-  (void)session->socket.set_timeout_ms(options_.io_timeout_ms);
-
-  wire::FrameBuffer frames;
-  double partial_since = -1.0;
-  bool drop = false;
-  while (!drop && !stopping_.load(std::memory_order_acquire)) {
-    auto chunk = session->socket.read_some();
-    if (!chunk.ok()) {
-      if (chunk.error().code() == util::ErrorCode::kTimeout) {
-        if (frames.pending() != 0 && partial_since >= 0.0 &&
-            mono_ms() - partial_since >
-                static_cast<double>(options_.slowloris_ms)) {
-          // Slowloris: a frame has been dribbling in for longer than any
-          // honest client takes; cut it loose.
-          serve_counter("dockmine_serve_slowloris_drops_total").add();
-          break;
-        }
-        continue;
+  // A well-framed but invalid request gets an error response and the
+  // session lives on: framing integrity and request validity fail at
+  // different blast radii.
+  Response response;
+  const bool attribute = options_.telemetry.enabled && obs::enabled();
+  const double parse_start = attribute ? util::mono_ms() : 0.0;
+  double parse_ms = -1.0;
+  auto parsed = json::parse(frame.payload);
+  if (!parsed.ok()) {
+    serve_counter("dockmine_serve_bad_requests_total").add();
+    response.error = "unparseable request: " + parsed.error().to_string();
+  } else {
+    auto request = request_from_json(parsed.value());
+    if (attribute) parse_ms = util::mono_ms() - parse_start;
+    if (!request.ok()) {
+      serve_counter("dockmine_serve_bad_requests_total").add();
+      if (parsed.value().is_object() && parsed.value()["id"].is_int() &&
+          parsed.value()["id"].as_int() >= 0) {
+        response.id = parsed.value()["id"].as_uint();
       }
-      break;  // reset or closed
-    }
-    if (chunk.value().empty()) break;  // peer closed
-    frames.feed(chunk.value());
-
-    wire::Frame frame;
-    while (!drop) {
-      auto polled = frames.poll(frame);
-      if (!polled.ok()) {
-        // Poisoned stream: there is no resync inside TCP, so this
-        // connection is done — but only this connection.
-        serve_counter("dockmine_serve_malformed_frames_total").add();
-        drop = true;
-        break;
-      }
-      if (!polled.value()) break;
-      if (frame.kind != wire::FrameKind::kJson) {
-        serve_counter("dockmine_serve_malformed_frames_total").add();
-        drop = true;
-        break;
-      }
-      // A well-framed but invalid request gets an error response and the
-      // session lives on: framing integrity and request validity fail at
-      // different blast radii.
-      Response response;
-      const bool attribute =
-          options_.telemetry.enabled && obs::enabled();
-      const double parse_start = attribute ? mono_ms() : 0.0;
-      double parse_ms = -1.0;
-      auto parsed = json::parse(frame.payload);
-      if (!parsed.ok()) {
-        serve_counter("dockmine_serve_bad_requests_total").add();
-        response.error = "unparseable request: " + parsed.error().to_string();
-      } else {
-        auto request = request_from_json(parsed.value());
-        if (attribute) parse_ms = mono_ms() - parse_start;
-        if (!request.ok()) {
-          serve_counter("dockmine_serve_bad_requests_total").add();
-          if (parsed.value().is_object() && parsed.value()["id"].is_int() &&
-              parsed.value()["id"].as_int() >= 0) {
-            response.id = parsed.value()["id"].as_uint();
-          }
-          response.error = request.error().to_string();
-        } else {
-          response = handle_request(request.value());
-        }
-      }
-      if (parse_ms >= 0.0) response.parse_ms = parse_ms;
-      if (!session->socket
-               .write_all(wire::encode_frame(wire::FrameKind::kJson,
-                                             response_to_json(response).dump()))
-               .ok()) {
-        drop = true;
-      }
-    }
-    if (frames.pending() != 0) {
-      if (partial_since < 0.0) partial_since = mono_ms();
+      response.error = request.error().to_string();
     } else {
-      partial_since = -1.0;
+      response = handle_request(request.value());
     }
   }
-  // Shut down now, not at reap time: a dropped client must observe EOF
-  // promptly, and reaping only happens on the next accept. shutdown (not
-  // close) because stop() may call shutdown_both concurrently — both only
-  // read the descriptor; the close happens after the join.
-  session->socket.shutdown_both();
-  active.sub(1);
-  session->done.store(true, std::memory_order_release);
+  if (parse_ms >= 0.0) response.parse_ms = parse_ms;
+  return connection.send(wire::encode_frame(
+      wire::FrameKind::kJson, response_to_json(response).dump()));
 }
 
 Response ServeDaemon::handle_request(const Request& request) {
-  const std::string label =
-      request.kind == RequestKind::kQuery         ? request.q
-      : request.kind == RequestKind::kIngest      ? std::string("ingest")
-      : request.kind == RequestKind::kIngestEpoch ? std::string("ingest-epoch")
-                                                  : std::string("shutdown");
-  const double start = mono_ms();
+  const std::size_t label = label_index(request);
+  const double start = util::mono_ms();
   Response response;
   response.id = request.id;
   switch (request.kind) {
     case RequestKind::kQuery:
       response = handle_query(request);
       break;
-    case RequestKind::kIngest: {
-      auto body = do_ingest(request);
-      response.epoch = snapshot()->epoch;
-      if (body.ok()) {
-        response.ok = true;
-        response.body = std::move(body).value();
-      } else {
-        response.error = body.error().to_string();
-      }
-      break;
-    }
+    case RequestKind::kIngest:
     case RequestKind::kIngestEpoch: {
-      auto body = do_ingest_epoch(request);
+      auto body = request.kind == RequestKind::kIngest
+                      ? do_ingest(request)
+                      : do_ingest_epoch(request);
       response.epoch = snapshot()->epoch;
       if (body.ok()) {
         response.ok = true;
@@ -932,32 +827,25 @@ Response ServeDaemon::handle_request(const Request& request) {
       break;
     }
   }
-  // `label` is a member of a closed, parser-validated set — safe inside a
-  // metric name.
-  const double elapsed = mono_ms() - start;
-  serve_counter("dockmine_serve_requests_total{q=\"" + label + "\"}").add();
-  obs::Registry::global()
-      .histogram("dockmine_serve_request_ms{q=\"" + label + "\"}")
-      .observe(elapsed);
+  const double elapsed = util::mono_ms() - start;
+  RequestInstruments& instruments = instruments_for(label);
+  instruments.requests->add();
+  instruments.latency->observe(elapsed);
   if (options_.telemetry.enabled && obs::enabled()) {
     response.handle_ms = elapsed;
-    note_slow_query(request, response, elapsed);
+    note_slow_query(kLabels[label], request, response, elapsed);
   }
   return response;
 }
 
-void ServeDaemon::note_slow_query(const Request& request,
+void ServeDaemon::note_slow_query(std::string_view label,
+                                  const Request& request,
                                   const Response& response,
                                   double handle_ms) {
   if (handle_ms < options_.telemetry.slowlog_threshold_ms) return;
   SlowQuery entry;
   entry.ts_ms = obs::now_ms();
-  entry.q = request.kind == RequestKind::kQuery ? request.q
-            : request.kind == RequestKind::kIngest
-                ? std::string("ingest")
-            : request.kind == RequestKind::kIngestEpoch
-                ? std::string("ingest-epoch")
-                : std::string("shutdown");
+  entry.q = label;
   entry.id = request.id;
   entry.ms = handle_ms;
   entry.ok = response.ok;
@@ -1278,7 +1166,7 @@ Response ServeDaemon::handle_query(const Request& request) {
 }
 
 util::Result<json::Value> ServeDaemon::do_ingest(const Request& request) {
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (cancel_ingest_.load(std::memory_order_acquire)) {
     return util::unavailable("serve: shutting down");
   }
   if (options_.temporal_advance) {
@@ -1287,7 +1175,7 @@ util::Result<json::Value> ServeDaemon::do_ingest(const Request& request) {
   }
   std::lock_guard<std::mutex> lock(ingest_mutex_);
   if (options_.on_ingest_begin) options_.on_ingest_begin();
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (cancel_ingest_.load(std::memory_order_acquire)) {
     return util::unavailable("serve: shutting down");
   }
 
@@ -1298,8 +1186,10 @@ util::Result<json::Value> ServeDaemon::do_ingest(const Request& request) {
   }
   const auto rollback = [this] {
     std::error_code ec;
-    std::filesystem::remove_all(batch_dir(batches_.size() - 1), ec);
-    batches_.pop_back();
+    std::filesystem::remove_all(batch_dir(batch_specs_.size() - 1), ec);
+    batch_specs_.pop_back();
+    batch_downloads_.pop_back();
+    contributions_.pop_back();
     serve_counter("dockmine_serve_ingest_aborts_total").add();
   };
   auto built = build_snapshot();
@@ -1332,7 +1222,7 @@ util::Result<json::Value> ServeDaemon::do_ingest(const Request& request) {
 }
 
 util::Result<json::Value> ServeDaemon::do_ingest_epoch(const Request&) {
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (cancel_ingest_.load(std::memory_order_acquire)) {
     return util::unavailable("serve: shutting down");
   }
   if (!options_.temporal_advance) {
@@ -1340,7 +1230,7 @@ util::Result<json::Value> ServeDaemon::do_ingest_epoch(const Request&) {
   }
   std::lock_guard<std::mutex> lock(ingest_mutex_);
   if (options_.on_ingest_begin) options_.on_ingest_begin();
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (cancel_ingest_.load(std::memory_order_acquire)) {
     return util::unavailable("serve: shutting down");
   }
 

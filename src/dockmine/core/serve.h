@@ -3,8 +3,7 @@
 // The batch pipeline runs, emits one report, and exits; the daemon keeps
 // the folded analysis state resident and answers queries over the same
 // CRC-framed wire protocol the distributed runtime speaks (core/wire.*,
-// JSON payloads). One accept thread, one session thread per connection,
-// snapshot-isolated reads:
+// JSON payloads), on the shared http::Server, with snapshot-isolated reads:
 //
 //   * Every committed state is an immutable `Snapshot` published through a
 //     shared_ptr swap. A query pins the snapshot it started on; an ingest
@@ -49,10 +48,10 @@
 // Failure containment mirrors the rest of the system: a malformed frame
 // poisons only its connection (the stream cannot resync, so the session is
 // dropped — the daemon keeps serving); a well-framed but invalid request
-// gets an error response and the session continues; a slow-dribbling
-// partial frame is dropped after `slowloris_ms`; transient accept errors
-// (EMFILE & friends) back off with a counter instead of killing the accept
-// thread.
+// gets an error response and the session continues. The shared server
+// drops a partial frame older than `slowloris_ms` (the clock resets on each
+// completed frame), closes a connection past http::kMaxConnections at once,
+// and backs off on accept errors (EMFILE & friends) instead of dying.
 #pragma once
 
 #include <atomic>
@@ -62,15 +61,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "dockmine/core/lease.h"
 #include "dockmine/core/multi_node.h"
 #include "dockmine/core/pipeline.h"
 #include "dockmine/core/wire.h"
+#include "dockmine/http/server.h"
 #include "dockmine/http/socket.h"
 #include "dockmine/json/json.h"
 #include "dockmine/obs/alert.h"
@@ -191,16 +190,14 @@ json::Value type_breakdown_json(const dedup::TypeBreakdown& breakdown);
 
 // ---- daemon ------------------------------------------------------------
 
-struct ServeOptions {
+/// The shared server's settings (port, io_timeout_ms, slowloris_ms,
+/// accept_backoff_ms, accept_error_injector) plus the daemon's own.
+struct ServeOptions : http::ServerOptions {
   /// Base pipeline configuration; `job.repositories`/`job.seed` define the
   /// initial batch. Ingested batches inherit everything but size and seed.
   JobSpec job;
   /// Required: batch spool (batch-<n>/ shard sets) + state.json.
   std::string state_dir;
-  std::uint16_t port = 0;  ///< 0 = ephemeral
-  std::uint32_t io_timeout_ms = 200;   ///< per-socket read deadline
-  std::uint64_t slowloris_ms = 10000;  ///< partial frame older than this is dropped
-  std::uint64_t accept_backoff_ms = 10;  ///< initial transient-accept backoff
 
   /// Temporal mode (set => the daemon serves an evolving registry instead
   /// of folded crawl batches). The hook advances the temporal stack one
@@ -232,10 +229,6 @@ struct ServeOptions {
   /// Test hook: invoked (under the ingest lock) just before an ingest batch
   /// runs — the kill-mid-ingest chaos test uses it to time its stop().
   std::function<void()> on_ingest_begin;
-  /// Test hook: when set, consulted before each accept; a returned error is
-  /// handled exactly like a Listener::accept_one failure (this is how the
-  /// EMFILE backoff path is exercised without exhausting real descriptors).
-  std::function<std::optional<util::Error>()> accept_error_injector;
 };
 
 class ServeDaemon {
@@ -253,11 +246,14 @@ class ServeDaemon {
   /// accepting.
   util::Status start();
 
-  std::uint16_t port() const noexcept { return listener_.port(); }
+  std::uint16_t port() const noexcept { return server_.port(); }
 
   /// Idempotent: cancels any in-flight ingest, closes the listener, drops
   /// every session, joins all threads.
   void stop();
+
+  /// The server's own connection counts.
+  http::ServerStats connections() const { return server_.stats(); }
 
   /// True once a client sent a shutdown request; the owner (CLI/test)
   /// polls this and calls stop().
@@ -269,18 +265,6 @@ class ServeDaemon {
   std::shared_ptr<const Snapshot> snapshot() const;
 
  private:
-  struct BatchState {
-    BatchSpec spec;
-    downloader::DownloadStats download;
-    NodeContribution contribution;
-  };
-
-  struct Session {
-    http::Socket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   /// Run one batch pipeline into `state_dir/batch-<index>` and append its
   /// state. Caller holds `ingest_mutex_`.
   util::Status run_batch(const BatchSpec& spec);
@@ -295,31 +279,30 @@ class ServeDaemon {
   util::Result<std::shared_ptr<Snapshot>> apply_temporal_epoch(
       std::uint32_t epoch);
 
-  void accept_loop();
-  void session_loop(Session* session);
+  /// One complete frame from a session: parse, handle, answer. An error
+  /// (binary frame, failed send) ends the session.
+  util::Status answer(const wire::Frame& frame, http::Connection& connection);
   Response handle_request(const Request& request);
   Response handle_query(const Request& request);
   /// Telemetry: record a handled request into the bounded slow-query
   /// journal when it crossed the threshold.
-  void note_slow_query(const Request& request, const Response& response,
-                       double handle_ms);
+  void note_slow_query(std::string_view label, const Request& request,
+                       const Response& response, double handle_ms);
   util::Result<json::Value> do_ingest(const Request& request);
   util::Result<json::Value> do_ingest_epoch(const Request& request);
 
   std::string batch_dir(std::size_t index) const;
 
   ServeOptions options_;
-  http::Listener listener_;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_requested_{false};
-  std::atomic<bool> cancel_ingest_{false};
-
-  std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  std::atomic<bool> cancel_ingest_{false};  ///< set once, by stop()
 
   std::mutex ingest_mutex_;  ///< serializes batch runs + commits
-  std::vector<BatchState> batches_;
+  // One entry per committed batch, guarded by `ingest_mutex_`. The
+  // contributions are folded as they are on every commit.
+  std::vector<BatchSpec> batch_specs_;
+  std::vector<downloader::DownloadStats> batch_downloads_;
+  std::vector<NodeContribution> contributions_;
   /// Temporal mode: epochs applied so far (0 before the initial ingest,
   /// K+1 once epoch K is served). Guarded by `ingest_mutex_`.
   std::uint32_t temporal_applied_ = 0;
@@ -340,6 +323,9 @@ class ServeDaemon {
   mutable std::mutex slowlog_mutex_;
   std::deque<SlowQuery> slowlog_;
   std::uint64_t slowlog_dropped_ = 0;
+
+  /// Declared last: destroyed first, after stop() joined its threads.
+  http::Server server_;
 };
 
 // ---- client ------------------------------------------------------------

@@ -45,6 +45,25 @@ std::string encode_frame(FrameKind kind, std::string_view payload) {
   return out;
 }
 
+util::Result<std::size_t> FrameProtocol::feed(std::string_view bytes) {
+  frames.feed(bytes);
+  std::size_t completed = 0;
+  Frame frame;
+  for (;;) {
+    auto polled = frames.poll(frame);
+    if (!polled.ok()) {
+      on_poisoned();
+      return polled.error();
+    }
+    if (!polled.value()) return completed;
+    ++completed;
+    if (auto handled = on_frame(frame); !handled.ok()) {
+      if (handled.error().code() == util::ErrorCode::kCorrupt) on_poisoned();
+      return handled.error();
+    }
+  }
+}
+
 util::Result<bool> FrameBuffer::poll(Frame& out) {
   if (corrupt_) return util::corrupt("wire: stream already poisoned");
   const std::size_t available = buffer_.size() - cursor_;

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "dockmine/analyzer/profile.h"
 #include "dockmine/core/lease.h"
 #include "dockmine/core/multi_node.h"
+#include "dockmine/http/server.h"
 #include "dockmine/json/json.h"
 #include "dockmine/registry/model.h"
 #include "dockmine/util/error.h"
@@ -80,13 +82,30 @@ class FrameBuffer {
   /// Bytes fed but not yet consumed by a completed frame — nonzero exactly
   /// when a partial frame is outstanding (buffered() also counts the
   /// consumed-but-not-yet-compacted prefix, so it cannot tell idle from
-  /// mid-frame; the serve daemon's slowloris cutoff needs the distinction).
+  /// mid-frame; the server's partial deadline needs the distinction).
   std::size_t pending() const noexcept { return buffer_.size() - cursor_; }
 
  private:
   std::string buffer_;
   std::size_t cursor_ = 0;  ///< consumed prefix, compacted lazily
   bool corrupt_ = false;
+};
+
+/// The shared server's protocol for a DMWF stream (serve and coordinator):
+/// each complete frame goes to `on_frame`; an error ends the connection. A
+/// malformed frame (bad bytes, or kCorrupt from `on_frame`) poisons the
+/// stream: `on_poisoned` runs, since a TCP stream cannot resync.
+struct FrameProtocol final : http::Protocol {
+  std::function<util::Status(Frame&)> on_frame;
+  std::function<void()> on_poisoned;
+  std::function<void()> on_closed;  ///< optional
+  FrameBuffer frames;
+
+  util::Result<std::size_t> feed(std::string_view bytes) override;
+  bool partial() const override { return frames.pending() != 0; }
+  void closed() override {
+    if (on_closed) on_closed();
+  }
 };
 
 // ---- message payload codecs -------------------------------------------

@@ -22,15 +22,10 @@
 #include "dockmine/obs/heartbeat.h"
 #include "dockmine/obs/journal.h"
 #include "dockmine/obs/timeseries.h"
+#include "dockmine/util/stopwatch.h"
 
 namespace dockmine::core {
 namespace {
-
-double mono_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Shared by the main loop and the heartbeat emitter thread: every frame
 /// leaves through write_frame, serialized by the mutex.
@@ -321,12 +316,12 @@ util::Result<WorkerStats> run_worker(const WorkerOptions& options) {
 
   wire::FrameBuffer frames;
   bool lease_seen = false;
-  double idle_since = mono_ms();
+  double idle_since = util::mono_ms();
   for (;;) {
     auto chunk = socket.read_some();
     if (!chunk.ok()) {
       if (chunk.error().code() == util::ErrorCode::kTimeout) {
-        if (mono_ms() - idle_since >
+        if (util::mono_ms() - idle_since >
             static_cast<double>(options.idle_timeout_ms)) {
           return util::timeout("worker: coordinator went silent");
         }
@@ -386,7 +381,7 @@ util::Result<WorkerStats> run_worker(const WorkerOptions& options) {
           !executed.ok()) {
         return executed.error();
       }
-      idle_since = mono_ms();
+      idle_since = util::mono_ms();
     }
   }
 }

@@ -47,12 +47,10 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-util::Status Socket::set_timeout_ms(std::uint32_t timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
+util::Status Socket::set_timeout_ms(std::uint32_t timeout_ms, bool send) {
+  const timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
   if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0 ||
-      ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) != 0) {
+      (send && ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv))) {
     return errno_error("setsockopt(SO_*TIMEO)");
   }
   return util::Status::success();
@@ -123,7 +121,9 @@ util::Status Listener::bind_loopback(std::uint16_t port) {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     return errno_error("bind");
   }
-  if (::listen(fd, 64) != 0) return errno_error("listen");
+  // A deep backlog lets a connection burst complete in the kernel while
+  // the accept loop (one thread per admitted connection) catches up.
+  if (::listen(fd, SOMAXCONN) != 0) return errno_error("listen");
   socklen_t len = sizeof addr;
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     return errno_error("getsockname");

@@ -35,11 +35,12 @@ class Socket {
   bool valid() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
-  /// Deadline for each subsequent send/recv on this socket (SO_SNDTIMEO /
-  /// SO_RCVTIMEO). 0 disables. An elapsed deadline surfaces as
-  /// ErrorCode::kTimeout; a peer-dropped connection as kReset — both
-  /// retryable categories, so resilient callers can compose with this layer.
-  util::Status set_timeout_ms(std::uint32_t timeout_ms);
+  /// Deadline for each subsequent recv (SO_RCVTIMEO) and, unless `send` is
+  /// false, send (SO_SNDTIMEO) on this socket. 0 disables. An elapsed
+  /// deadline surfaces as ErrorCode::kTimeout; a peer-dropped connection as
+  /// kReset — both retryable categories, so resilient callers can compose
+  /// with this layer.
+  util::Status set_timeout_ms(std::uint32_t timeout_ms, bool send = true);
 
   /// Write the whole buffer (loops over partial writes).
   util::Status write_all(std::string_view data);
@@ -71,7 +72,6 @@ class Listener {
   util::Result<Socket> accept_one();
   std::uint16_t port() const noexcept { return port_; }
   void close() noexcept;
-  bool valid() const noexcept { return fd_.load(std::memory_order_acquire) >= 0; }
   ~Listener() { close(); }
 
  private:

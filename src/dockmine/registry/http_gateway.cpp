@@ -188,10 +188,9 @@ http::Response HttpGateway::handle_search(const http::Request& request) const {
 }
 
 util::Result<std::unique_ptr<http::Server>> HttpGateway::serve(
-    std::uint16_t port, std::size_t workers) const {
+    std::uint16_t port) const {
   auto server = std::make_unique<http::Server>(
-      [this](const http::Request& request) { return handle(request); }, port,
-      workers);
+      [this](const http::Request& request) { return handle(request); }, port);
   auto started = server->start();
   if (!started.ok()) return started.error();
   return server;

@@ -39,7 +39,7 @@ class HttpGateway {
   /// Convenience: spin up an http::Server bound to 127.0.0.1:`port`
   /// dispatching into this gateway. The gateway must outlive the server.
   util::Result<std::unique_ptr<http::Server>> serve(
-      std::uint16_t port = 0, std::size_t workers = 4) const;
+      std::uint16_t port = 0) const;
 
  private:
   http::Response handle_manifest(const http::Request& request,

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "dockmine/obs/obs.h"
+#include "dockmine/util/stopwatch.h"
 
 namespace dockmine::registry {
 
@@ -64,11 +65,7 @@ double decorrelated_jitter(double base_ms, double cap_ms, double prev_ms,
 
 TimeSource TimeSource::real() {
   return TimeSource{
-      [] {
-        return std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-      },
+      util::mono_ms,
       [](double ms) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(ms));

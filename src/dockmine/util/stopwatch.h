@@ -7,6 +7,13 @@
 
 namespace dockmine::util {
 
+/// Milliseconds on the monotonic clock, for deadlines and intervals.
+inline double mono_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -9,6 +12,7 @@
 #include "dockmine/http/client.h"
 #include "dockmine/http/message.h"
 #include "dockmine/http/server.h"
+#include "dockmine/http/socket.h"
 #include "dockmine/registry/http_gateway.h"
 #include "dockmine/synth/generator.h"
 #include "dockmine/synth/materialize.h"
@@ -104,7 +108,7 @@ TEST(HttpServerTest, EchoAndConcurrentClients) {
         return http::Response::make(200, "echo:" + request.body,
                                     "text/plain");
       },
-      0, 3);
+      0);
   ASSERT_TRUE(server.start().ok());
   ASSERT_NE(server.port(), 0);
 
@@ -147,7 +151,7 @@ class GatewayFixture : public ::testing::Test {
     search = new registry::SearchIndex(
         *service, synth::Calibration::kSearchDuplicateFactor, 5);
     gateway = new registry::HttpGateway(*service, search);
-    auto started = gateway->serve(0, 4);
+    auto started = gateway->serve();
     ASSERT_TRUE(started.ok());
     server = std::move(started).value().release();
   }
@@ -345,6 +349,67 @@ TEST_F(GatewayFixture, PushValidationRejectsBadUploads) {
 
   // Malformed manifest JSON is refused.
   EXPECT_FALSE(remote.push_manifest("pusher/bad", "latest", "{oops").ok());
+}
+
+// ---------- the shared server's protections, on the gateway ----------
+
+// An accept-error burst (EMFILE) backs the accept loop off instead of
+// ending it: a request made after the burst is answered.
+TEST_F(GatewayFixture, AnswersAfterAnAcceptErrorBurst) {
+  std::atomic<int> bursts{6};
+  http::ServerOptions options;
+  options.accept_backoff_ms = 1;
+  options.accept_error_injector = [&bursts]() -> std::optional<util::Error> {
+    if (bursts.fetch_sub(1) > 0) return http::classify_errno(EMFILE, "accept");
+    return std::nullopt;
+  };
+  http::Server burst(
+      [](const http::Request& request) { return gateway->handle(request); },
+      options);
+  ASSERT_TRUE(burst.start().ok());
+
+  registry::RemoteRegistry remote(burst.port());
+  EXPECT_TRUE(remote.ping().ok());
+  EXPECT_LE(bursts.load(), 0) << "injector was never consulted";
+  EXPECT_EQ(burst.stats().accept_retries, 6u);
+  EXPECT_EQ(burst.requests_served(), 1u);
+  burst.stop();
+}
+
+// A one-line request head that never completes is dropped once the
+// partial-message deadline passes.
+TEST_F(GatewayFixture, PartialRequestIsDroppedWithinTheDeadline) {
+  http::ServerOptions options;
+  options.io_timeout_ms = 20;
+  options.slowloris_ms = 300;
+  http::Server strict(
+      [](const http::Request& request) { return gateway->handle(request); },
+      options);
+  ASSERT_TRUE(strict.start().ok());
+
+  auto socket = http::Socket::connect_loopback(strict.port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().set_timeout_ms(5000).ok());
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(socket.value().write_all("GET /v2/ HTTP/1.1\r\n").ok());
+  auto chunk = socket.value().read_some();
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - sent)
+                               .count();
+  if (chunk.ok()) {
+    EXPECT_TRUE(chunk.value().empty()) << "got bytes for a partial request";
+  } else {
+    EXPECT_EQ(chunk.error().code(), util::ErrorCode::kReset)
+        << chunk.error().to_string();
+  }
+  EXPECT_GE(waited_ms, 300.0);
+  EXPECT_LT(waited_ms, 2300.0);
+  EXPECT_EQ(strict.stats().partial_drops, 1u);
+
+  // Whole requests on the same server are unaffected.
+  registry::RemoteRegistry remote(strict.port());
+  EXPECT_TRUE(remote.ping().ok());
+  strict.stop();
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // suite attacks the daemon's liveness and isolation guarantees:
 //
 //   * misbehaving clients (disconnect mid-request, slowloris dribble)
-//     cost only their own connection;
+//     cost only their own connection, and a flood past the connection cap
+//     is shed at once while real clients are still answered;
 //   * concurrent readers during an ingest commit see either the old
 //     snapshot or the new one, byte-exact, never a torn mix — and the
 //     epoch stamp always matches the bytes;
@@ -13,12 +14,17 @@
 //   * a mixed query/ingest hammer across threads is data-race-free (this
 //     suite runs under TSan in tools/run_checks.sh and CI).
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +34,7 @@
 #include "dockmine/core/pipeline.h"
 #include "dockmine/core/serve.h"
 #include "dockmine/core/wire.h"
+#include "dockmine/http/server.h"
 #include "dockmine/http/socket.h"
 #include "dockmine/json/json.h"
 #include "dockmine/util/error.h"
@@ -78,6 +85,36 @@ serve::Response must_call(serve::Client& client, const serve::Request& request) 
   EXPECT_TRUE(response.ok())
       << (response.ok() ? "" : response.error().to_string());
   return response.ok() ? response.value() : serve::Response{};
+}
+
+/// How many of `sockets` read EOF (or a reset), waiting until `expected`
+/// have or `wait` passes: the ones the server closed at once. Accepted idle
+/// connections stay silent.
+std::size_t count_closed(const std::vector<dockmine::http::Socket>& sockets,
+                         std::size_t expected, std::chrono::milliseconds wait) {
+  std::vector<bool> closed(sockets.size(), false);
+  std::size_t count = 0;
+  const auto deadline = std::chrono::steady_clock::now() + wait;
+  while (count < expected && std::chrono::steady_clock::now() < deadline) {
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> index;
+    for (std::size_t i = 0; i < sockets.size(); ++i) {
+      if (closed[i]) continue;
+      fds.push_back(pollfd{sockets[i].fd(), POLLIN, 0});
+      index.push_back(i);
+    }
+    if (::poll(fds.data(), fds.size(), 50) <= 0) continue;
+    for (std::size_t j = 0; j < fds.size(); ++j) {
+      if (fds[j].revents == 0) continue;
+      char byte = 0;
+      const ssize_t n = ::recv(fds[j].fd, &byte, 1, MSG_DONTWAIT);
+      if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
+        closed[index[j]] = true;
+        ++count;
+      }
+    }
+  }
+  return count;
 }
 
 // ---- misbehaving clients -----------------------------------------------
@@ -153,6 +190,102 @@ TEST(ServeChaos, SlowlorisDribbleIsDroppedWithoutStallingOthers) {
 
   // And the daemon still answers afterwards.
   EXPECT_TRUE(must_call(client.value(), query("status")).ok);
+  daemon.stop();
+}
+
+// The partial-frame clock resets on every completed frame, not only when a
+// read happens to end on a frame boundary: a client whose every write
+// completes one request and starts the next always has a partial frame
+// buffered — for many deadlines in total — and must never be cut.
+TEST(ServeChaos, PartialDeadlineResetsOnEveryCompletedFrame) {
+  TempDir state{"dockmine-serve-chaos-pipelined"};
+  serve::ServeOptions options;
+  options.job = chaos_spec();
+  options.state_dir = state.str();
+  options.io_timeout_ms = 20;
+  options.slowloris_ms = 250;
+  serve::ServeDaemon daemon(std::move(options));
+  ASSERT_TRUE(daemon.start().ok());
+
+  auto client = serve::Client::connect(daemon.port(), 10000);
+  ASSERT_TRUE(client.ok());
+  dockmine::http::Socket& socket = client.value().socket();
+  const std::string frame = wire::encode_frame(
+      wire::FrameKind::kJson, serve::request_to_json(query("status")).dump());
+  const std::size_t half = frame.size() / 2;
+  constexpr int kRequests = 30;  // 30 x 50 ms: six deadlines in all
+  ASSERT_TRUE(socket.write_all(frame.substr(0, half)).ok());
+  wire::FrameBuffer replies;
+  wire::Frame reply;
+  for (int i = 0; i < kRequests; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::string next = i + 1 < kRequests ? frame.substr(0, half) : "";
+    ASSERT_TRUE(socket.write_all(frame.substr(half) + next).ok());
+    for (;;) {
+      auto polled = replies.poll(reply);
+      ASSERT_TRUE(polled.ok());
+      if (polled.value()) break;
+      auto chunk = socket.read_some();
+      ASSERT_TRUE(chunk.ok() && !chunk.value().empty())
+          << "connection cut after " << i << " answers";
+      replies.feed(chunk.value());
+    }
+  }
+  EXPECT_EQ(daemon.connections().partial_drops, 0u);
+  daemon.stop();
+}
+
+// A flood past the connection cap: the overflow is closed at once, the
+// live count never passes the cap, and real clients are answered during
+// the flood and after it.
+TEST(ServeChaos, FloodPastTheCapIsShedWhileClientsAreServed) {
+  TempDir state{"dockmine-serve-chaos-flood"};
+  serve::ServeOptions options;
+  options.job = chaos_spec();
+  options.state_dir = state.str();
+  serve::ServeDaemon daemon(std::move(options));
+  ASSERT_TRUE(daemon.start().ok());
+
+  constexpr std::size_t kCap = dockmine::http::kMaxConnections;
+  constexpr std::size_t kFlood = kCap + 16;
+  std::vector<dockmine::http::Socket> flood;
+  std::optional<serve::Client> during;
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    if (i == kCap / 2) {
+      // A fresh client mid-flood takes a slot and is answered.
+      auto client = serve::Client::connect(daemon.port(), 10000);
+      ASSERT_TRUE(client.ok());
+      EXPECT_TRUE(must_call(client.value(), query("status")).ok);
+      during.emplace(std::move(client).value());
+    }
+    auto socket = dockmine::http::Socket::connect_loopback(daemon.port());
+    ASSERT_TRUE(socket.ok()) << socket.error().to_string();
+    flood.push_back(std::move(socket).value());
+  }
+
+  // Everything past the cap (the flood's last 17, beside the mid-flood
+  // client) reads EOF at once; the accepted rest stays open.
+  const std::size_t overflow = kFlood + 1 - kCap;
+  EXPECT_EQ(count_closed(flood, overflow, std::chrono::seconds(10)),
+            overflow);
+  const dockmine::http::ServerStats full = daemon.connections();
+  EXPECT_EQ(full.rejected, overflow);
+  EXPECT_EQ(full.live, kCap);
+  EXPECT_LE(full.peak_live, kCap);
+  // The client holding a slot is still answered at the cap.
+  EXPECT_TRUE(must_call(*during, query("report")).ok);
+
+  flood.clear();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.connections().live > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  auto after = serve::Client::connect(daemon.port(), 10000);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(must_call(after.value(), query("status")).ok);
+  EXPECT_LE(daemon.connections().peak_live, kCap);
   daemon.stop();
 }
 

@@ -72,13 +72,19 @@ synth::Calibration calibration_from(const Flags& flags) {
                              : synth::Calibration::paper();
 }
 
-/// A flag this CLI no longer takes, or nullptr. Flags ignores names it
-/// does not read, so a removed flag would otherwise run silently with the
-/// defaults instead of what the caller asked for.
-const char* removed_flag(const std::string& command, const Flags& flags) {
-  if (flags.has("mode")) return "mode";
-  if (command == "metrics" && flags.has("depth")) return "depth";
-  return nullptr;
+/// What to say about a flag this CLI no longer takes, or "". Flags ignores
+/// names it does not read, so a removed flag would otherwise run silently
+/// with the defaults instead of what the caller asked for.
+std::string removed_flag(const std::string& command, const Flags& flags) {
+  const std::string one_path =
+      " was removed; every run downloads, then analyzes";
+  if (flags.has("mode")) return "--mode" + one_path;
+  if (command == "metrics" && flags.has("depth")) return "--depth" + one_path;
+  if (command == "serve-registry" && flags.has("workers")) {
+    return "--workers was removed; the registry serves each connection on "
+           "its own thread";
+  }
+  return "";
 }
 
 int cmd_analyze(const Flags& flags) {
@@ -151,8 +157,7 @@ int cmd_serve_registry(const Flags& flags) {
   }
   registry::SearchIndex search(service);
   registry::HttpGateway gateway(service, &search);
-  auto server = gateway.serve(static_cast<std::uint16_t>(flags.u64("port", 0)),
-                              flags.u64("workers", 4));
+  auto server = gateway.serve(static_cast<std::uint16_t>(flags.u64("port", 0)));
   if (!server.ok()) {
     std::cerr << server.error().to_string() << "\n";
     return 1;
@@ -1083,7 +1088,7 @@ int usage() {
       "           epochs with incremental delta analysis; --verify pins\n"
       "           each epoch's report byte-for-byte against a\n"
       "           from-scratch batch run\n"
-      "  serve-registry [--repos N] [--port P] [--workers W] [--light]\n"
+      "  serve-registry [--repos N] [--port P] [--light]\n"
       "           [--max-requests N]   HTTP registry for crawl/pull\n"
       "  crawl    --port P [--token T] [--page-size K] [--list]\n"
       "  pull     --port P [--token T] [--workers W]\n"
@@ -1119,9 +1124,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Flags flags = Flags::parse(argc, argv, 2);
-  if (const char* removed = removed_flag(command, flags)) {
-    std::cerr << command << ": --" << removed
-              << " was removed; every run downloads, then analyzes\n";
+  if (const std::string removed = removed_flag(command, flags);
+      !removed.empty()) {
+    std::cerr << command << ": " << removed << "\n";
     return 2;
   }
   if (command == "analyze") return cmd_analyze(flags);

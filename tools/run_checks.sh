@@ -6,6 +6,10 @@
 # (-DDOCKMINE_OBS=OFF) to prove the disabled path builds and records
 # nothing.
 #
+# The server suites (http_test, serve_chaos_test, dist_chaos_test) run in
+# both: they drive the one server loop serve, the coordinator and the HTTP
+# registry gateway share.
+#
 # Usage: tools/run_checks.sh [build-root]     (default: ./build-checks)
 set -euo pipefail
 
@@ -32,6 +36,7 @@ configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/obs_test"
 "${build_root}/tsan/tests/obs_export_test"
 "${build_root}/tsan/tests/trace_journal_test"
+"${build_root}/tsan/tests/http_test"
 "${build_root}/tsan/tests/dist_wire_test"
 "${build_root}/tsan/tests/dist_chaos_test"
 "${build_root}/tsan/tests/serve_test"
@@ -48,5 +53,9 @@ configure_and_build "${build_root}/obs-off" -DDOCKMINE_OBS=OFF
 "${build_root}/obs-off/tests/obs_export_test"
 "${build_root}/obs-off/tests/trace_journal_test"
 "${build_root}/obs-off/tests/timeseries_test"
+"${build_root}/obs-off/tests/shard_pipeline_test"
+"${build_root}/obs-off/tests/http_test"
+"${build_root}/obs-off/tests/serve_chaos_test"
+"${build_root}/obs-off/tests/dist_chaos_test"
 
 echo "All checks passed."
