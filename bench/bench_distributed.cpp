@@ -37,8 +37,7 @@ core::JobSpec bench_spec() {
   spec.seed = scale.seed;
   spec.light_calibration = true;
   spec.gzip_level = 1;
-  spec.download_workers = 4;
-  spec.analyze_workers = 2;
+  spec.threads = 2;
   spec.shards = 4;
   return spec;
 }

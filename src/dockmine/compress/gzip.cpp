@@ -41,6 +41,13 @@ uInt zlib_slice(std::size_t remaining) {
       std::min<std::size_t>(remaining, std::numeric_limits<uInt>::max()));
 }
 
+/// One byte past the cap, the byte that proves it exceeded: the most a
+/// buffer collecting a capped payload ever needs.
+std::uint64_t output_limit(std::uint64_t max_output) {
+  return max_output < std::numeric_limits<std::size_t>::max() ? max_output + 1
+                                                              : max_output;
+}
+
 /// Raw DEFLATE (no zlib/gzip wrapper) of `raw`.
 util::Result<std::string> deflate_raw(std::string_view raw, int level) {
   z_stream zs{};
@@ -66,63 +73,6 @@ util::Result<std::string> deflate_raw(std::string_view raw, int level) {
   deflateEnd(&zs);
   if (rc != Z_STREAM_END) {
     return util::internal("deflate did not finish (rc=" + std::to_string(rc) + ")");
-  }
-  out.resize(produced);
-  return out;
-}
-
-/// Raw INFLATE with an output cap, straight into the result. `size_hint`
-/// (the trailer's ISIZE) sizes the first allocation; it is untrusted, so
-/// that allocation never exceeds one byte past the cap (the byte that proves
-/// the cap exceeded) nor DEFLATE's 1032:1 ratio over the body. A short hint
-/// grows the buffer geometrically.
-util::Result<std::string> inflate_raw(std::string_view body,
-                                      std::uint32_t size_hint,
-                                      std::uint64_t max_output) {
-  constexpr std::uint64_t kMaxDeflateRatio = 1032;
-  constexpr std::uint64_t kMinGrowth = 64 * 1024;
-  z_stream zs{};
-  if (inflateInit2(&zs, /*windowBits=*/-15) != Z_OK) {
-    return util::internal("inflateInit2 failed");
-  }
-  const std::uint64_t limit =
-      max_output < std::numeric_limits<std::size_t>::max() ? max_output + 1
-                                                           : max_output;
-  std::string out;
-  out.resize(std::min({std::uint64_t{size_hint}, limit,
-                       std::uint64_t{body.size()} * kMaxDeflateRatio}));
-  std::size_t produced = 0;
-  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(body.data()));
-  const Bytef* const in_end = zs.next_in + body.size();
-  for (;;) {
-    if (zs.avail_in == 0) zs.avail_in = zlib_slice(in_end - zs.next_in);
-    zs.next_out = reinterpret_cast<Bytef*>(out.data() + produced);
-    zs.avail_out = zlib_slice(out.size() - produced);
-    const uInt offered = zs.avail_out;
-    const int rc = inflate(&zs, Z_NO_FLUSH);
-    produced += offered - zs.avail_out;
-    if (rc == Z_STREAM_END) break;
-    if (rc != Z_OK && rc != Z_BUF_ERROR) {
-      inflateEnd(&zs);
-      return util::corrupt("inflate failed (rc=" + std::to_string(rc) + ")");
-    }
-    if (zs.avail_out != 0) {
-      if (zs.next_in == in_end) {
-        inflateEnd(&zs);
-        return util::corrupt("truncated deflate stream");
-      }
-    } else if (produced == out.size()) {
-      if (out.size() >= limit) {
-        inflateEnd(&zs);
-        return util::out_of_range("decompressed size exceeds cap");
-      }
-      out.resize(std::min(limit, std::max<std::uint64_t>(2 * out.size(),
-                                                         kMinGrowth)));
-    }
-  }
-  inflateEnd(&zs);
-  if (produced > max_output) {
-    return util::out_of_range("decompressed size exceeds cap");
   }
   out.resize(produced);
   return out;
@@ -195,26 +145,118 @@ util::Result<GzipInfo> gzip_probe(std::string_view member) {
 
 util::Result<std::string> gzip_decompress(std::string_view member,
                                           std::uint64_t max_output) {
+  constexpr std::size_t kMinGrowth = 64 * 1024;
+  GzipReader reader(member, max_output);
+  // The reader fails once the payload passes the cap.
+  const std::uint64_t limit = output_limit(max_output);
+  std::string out;
+  out.resize(reader.size_hint());
+  std::size_t produced = 0;
+  for (;;) {
+    if (produced == out.size()) {
+      out.resize(std::min<std::uint64_t>(
+          limit, std::max<std::size_t>(2 * out.size(), kMinGrowth)));
+    }
+    auto got = reader.read(out.data() + produced, out.size() - produced);
+    if (!got.ok()) return std::move(got).error();
+    if (got.value() == 0) break;
+    produced += got.value();
+  }
+  out.resize(produced);
+  return out;
+}
+
+struct GzipReader::Inflate {
+  z_stream zs{};
+  bool initialized = false;
+  ~Inflate() {
+    if (initialized) inflateEnd(&zs);
+  }
+};
+
+GzipReader::GzipReader(std::string_view member, std::uint64_t max_output)
+    : max_output_(max_output) {
   auto info = gzip_probe(member);
-  if (!info.ok()) return std::move(info).error();
-  const std::size_t header = info.value().header_size;
-  if (member.size() < header + 8) return util::corrupt("gzip member too short");
-  const std::string_view body =
-      member.substr(header, member.size() - header - 8);
+  if (!info.ok()) {
+    fail(std::move(info).error());
+    return;
+  }
+  header_size_ = info.value().header_size;
+  if (member.size() < header_size_ + 8) {
+    fail(util::corrupt("gzip member too short"));
+    return;
+  }
+  body_ = member.substr(header_size_, member.size() - header_size_ - 8);
   const auto* trailer = reinterpret_cast<const unsigned char*>(
       member.data() + member.size() - 8);
-  const std::uint32_t want_crc = get_le32(trailer);
-  const std::uint32_t want_isize = get_le32(trailer + 4);
-  auto raw = inflate_raw(body, want_isize, max_output);
-  if (!raw.ok()) return raw;
+  want_crc_ = get_le32(trailer);
+  want_isize_ = get_le32(trailer + 4);
+  inflate_ = std::make_unique<Inflate>();
+  inflate_->zs.next_in =
+      reinterpret_cast<Bytef*>(const_cast<char*>(body_.data()));
+  if (inflateInit2(&inflate_->zs, /*windowBits=*/-15) != Z_OK) {
+    fail(util::internal("inflateInit2 failed"));
+    return;
+  }
+  inflate_->initialized = true;
+}
 
-  if (Crc32::of(raw.value()) != want_crc) {
-    return util::corrupt("gzip CRC mismatch");
+GzipReader::~GzipReader() = default;
+
+std::size_t GzipReader::consumed() const noexcept {
+  if (inflate_ == nullptr) return 0;
+  return header_size_ + static_cast<std::size_t>(
+                            reinterpret_cast<const char*>(inflate_->zs.next_in) -
+                            body_.data());
+}
+
+std::size_t GzipReader::size_hint() const noexcept {
+  constexpr std::uint64_t kMaxDeflateRatio = 1032;
+  return static_cast<std::size_t>(
+      std::min({std::uint64_t{want_isize_}, output_limit(max_output_),
+                std::uint64_t{body_.size()} * kMaxDeflateRatio}));
+}
+
+util::Result<std::size_t> GzipReader::read(char* out, std::size_t size) {
+  if (!status_.ok()) return status_.error();
+  if (ended_) return std::size_t{0};
+  z_stream& zs = inflate_->zs;
+  const Bytef* const in_end =
+      reinterpret_cast<const Bytef*>(body_.data() + body_.size());
+  std::size_t produced = 0;
+  while (produced < size) {
+    if (zs.avail_in == 0) zs.avail_in = zlib_slice(in_end - zs.next_in);
+    zs.next_out = reinterpret_cast<Bytef*>(out + produced);
+    zs.avail_out = zlib_slice(size - produced);
+    const uInt offered = zs.avail_out;
+    const int rc = inflate(&zs, Z_NO_FLUSH);
+    produced += offered - zs.avail_out;
+    if (produced_ + produced > max_output_) {
+      return fail(util::out_of_range("decompressed size exceeds cap"));
+    }
+    if (rc == Z_STREAM_END) {
+      ended_ = true;
+      break;
+    }
+    if (rc != Z_OK && rc != Z_BUF_ERROR) {
+      return fail(
+          util::corrupt("inflate failed (rc=" + std::to_string(rc) + ")"));
+    }
+    if (zs.avail_out != 0 && zs.next_in == in_end) {
+      return fail(util::corrupt("truncated deflate stream"));
+    }
   }
-  if (static_cast<std::uint32_t>(raw.value().size() & 0xffffffffULL) != want_isize) {
-    return util::corrupt("gzip ISIZE mismatch");
+  crc_.update(out, produced);
+  produced_ += produced;
+  if (ended_) {
+    if (crc_.value() != want_crc_) {
+      return fail(util::corrupt("gzip CRC mismatch"));
+    }
+    if (static_cast<std::uint32_t>(produced_ & 0xffffffffULL) != want_isize_) {
+      return fail(util::corrupt("gzip ISIZE mismatch"));
+    }
   }
-  return raw;
+  return produced;
 }
 
 }  // namespace dockmine::compress

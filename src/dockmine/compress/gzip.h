@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
+#include "dockmine/compress/crc32.h"
 #include "dockmine/util/error.h"
 
 namespace dockmine::compress {
@@ -23,8 +25,61 @@ util::Result<std::string> gzip_compress(std::string_view raw,
 
 /// Decompress one complete gzip member; verifies CRC-32 and ISIZE.
 /// `max_output` caps the decompressed size (decompression-bomb guard).
+/// This is a GzipReader run into one growing string.
 util::Result<std::string> gzip_decompress(
     std::string_view member, std::uint64_t max_output = 1ULL << 34);
+
+/// One gzip member inflated in pieces into caller-supplied space, so a
+/// caller can walk the payload without holding it (the layer analyzer's
+/// bounded pass). Faults surface in stream order: the header when the
+/// reader is built (reported by the first read), then an inflate error,
+/// truncation or the `max_output` cap as the stream reaches it, then CRC-32
+/// and ISIZE in the read that reaches the end of the DEFLATE stream. Errors
+/// are sticky. The trailer is the member's last 8 bytes; bytes between the
+/// end of the DEFLATE stream and the trailer are ignored.
+class GzipReader {
+ public:
+  /// `member` must outlive the reader.
+  GzipReader(std::string_view member, std::uint64_t max_output);
+  ~GzipReader();
+  GzipReader(const GzipReader&) = delete;
+  GzipReader& operator=(const GzipReader&) = delete;
+
+  /// Inflate the next bytes of the payload into out[0, size), size > 0,
+  /// filling it unless the stream ends first. Returns how many bytes were
+  /// written; 0 once the member has ended with its trailer verified.
+  util::Result<std::size_t> read(char* out, std::size_t size);
+
+  /// Bytes of `member` consumed so far: the header and the DEFLATE input
+  /// inflated up to now. What follows is unread (a caller hashing the
+  /// member in the same pass hashes the rest at the end).
+  std::size_t consumed() const noexcept;
+
+  /// First allocation for a caller that collects the whole payload: the
+  /// trailer's ISIZE, which is untrusted, so never more than one byte past
+  /// `max_output` (the byte that proves the cap exceeded) nor DEFLATE's
+  /// 1032:1 ratio over the body.
+  std::size_t size_hint() const noexcept;
+
+ private:
+  struct Inflate;  // zlib's stream state, kept out of this header
+
+  util::Error fail(util::Error error) {
+    status_ = error;
+    return error;
+  }
+
+  std::string_view body_;  ///< the DEFLATE stream (header and trailer cut)
+  std::size_t header_size_ = 0;
+  std::uint64_t max_output_ = 0;
+  std::uint64_t produced_ = 0;
+  std::uint32_t want_crc_ = 0;
+  std::uint32_t want_isize_ = 0;
+  Crc32 crc_;
+  bool ended_ = false;
+  util::Status status_;
+  std::unique_ptr<Inflate> inflate_;
+};
 
 /// Header fields of a gzip member without decompressing the body.
 struct GzipInfo {

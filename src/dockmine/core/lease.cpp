@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 
 namespace dockmine::core {
 
@@ -18,8 +19,7 @@ util::Status check_job_spec(const JobSpec& spec) {
   };
   check("repositories", spec.repositories, 1, 100'000'000);
   check("gzip_level", spec.gzip_level, 1, 9);
-  check("download_workers", spec.download_workers, 1, 256);
-  check("analyze_workers", spec.analyze_workers, 1, 256);
+  check("threads", spec.threads, 0, 256);
   check("shards", spec.shards, 1, 4096);
   return status;
 }
@@ -33,8 +33,12 @@ PipelineOptions lease_pipeline_options(const JobSpec& spec,
   options.calibration = spec.light_calibration ? synth::Calibration::light()
                                                : synth::Calibration::paper();
   options.gzip_level = spec.gzip_level;
-  options.download_workers = spec.download_workers;
-  options.analyze_workers = spec.analyze_workers;
+  const std::size_t threads =
+      spec.threads != 0
+          ? spec.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  options.download_workers = threads;
+  options.analyze_workers = threads;
   options.shard.shards = spec.shards;
   options.shard.spill_threshold_bytes = spec.spill_threshold_bytes;
   // Spills land next to the exported runs so the whole lease result ships

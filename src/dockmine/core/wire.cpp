@@ -180,8 +180,7 @@ json::Value job_spec_to_json(const JobSpec& spec) {
   doc.set("seed", spec.seed);
   doc.set("light", spec.light_calibration);
   doc.set("gzip_level", std::int64_t{spec.gzip_level});
-  doc.set("download_workers", std::uint64_t{spec.download_workers});
-  doc.set("analyze_workers", std::uint64_t{spec.analyze_workers});
+  doc.set("threads", std::uint64_t{spec.threads});
   doc.set("shards", std::uint64_t{spec.shards});
   doc.set("spill_threshold_bytes", spec.spill_threshold_bytes);
   return doc;
@@ -190,15 +189,13 @@ json::Value job_spec_to_json(const JobSpec& spec) {
 util::Result<JobSpec> job_spec_from_json(const json::Value& doc) {
   if (!doc.is_object()) return util::corrupt("wire: job spec not an object");
   JobSpec spec;
-  std::uint64_t download_workers = 0;
-  std::uint64_t analyze_workers = 0;
+  std::uint64_t threads = 0;
   std::uint64_t shards = 0;
   if (!require_uint(doc, "repositories", spec.repositories) ||
       !require_uint(doc, "seed", spec.seed) ||
       !require_uint(doc, "spill_threshold_bytes",
                     spec.spill_threshold_bytes) ||
-      !require_uint(doc, "download_workers", download_workers) ||
-      !require_uint(doc, "analyze_workers", analyze_workers) ||
+      !require_uint(doc, "threads", threads) ||
       !require_uint(doc, "shards", shards) || !doc["light"].is_bool() ||
       !doc["gzip_level"].is_int())
     return util::corrupt("wire: job spec fields missing or invalid");
@@ -209,8 +206,8 @@ util::Result<JobSpec> job_spec_from_json(const json::Value& doc) {
       std::clamp<std::int64_t>(doc["gzip_level"].as_int(),
                                std::numeric_limits<int>::min(),
                                std::numeric_limits<int>::max()));
-  spec.download_workers = static_cast<std::size_t>(download_workers);
-  spec.analyze_workers = static_cast<std::size_t>(analyze_workers);
+  spec.threads = static_cast<std::size_t>(std::min<std::uint64_t>(
+      threads, std::numeric_limits<std::size_t>::max()));
   spec.shards = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       shards, std::numeric_limits<std::uint32_t>::max()));
   if (auto valid = check_job_spec(spec); !valid.ok())

@@ -1,20 +1,202 @@
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <atomic>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "dockmine/analyzer/image_analyzer.h"
 #include "dockmine/analyzer/layer_analyzer.h"
 #include "dockmine/analyzer/pipeline.h"
+#include "dockmine/compress/crc32.h"
 #include "dockmine/compress/gzip.h"
+#include "dockmine/digest/sha256.h"
 #include "dockmine/registry/service.h"
 #include "dockmine/synth/generator.h"
 #include "dockmine/synth/materialize.h"
 #include "dockmine/tar/writer.h"
 
+// Sanitizer shadow memory and quarantine make RSS meaningless.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DOCKMINE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DOCKMINE_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace dockmine::analyzer {
 namespace {
+
+/// A field of /proc/self/status in kB ("VmHWM:", "VmRSS:"); 0 if absent.
+std::uint64_t status_kb(std::string_view field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field, 0) == 0) {
+      return std::stoull(line.substr(field.size()));
+    }
+  }
+  return 0;
+}
+
+/// A gzip layer holding one regular file of `size` zero bytes, deflated
+/// (level 1) from a 64 KiB zero buffer so the raw layer is never held.
+std::string zero_file_layer(std::uint64_t size) {
+  std::string head;
+  tar::Header header;
+  header.name = "zeros.bin";
+  header.size = size;
+  tar::encode_header(header, head);
+  // Body, its padding, and the two-block end marker are all zeros.
+  const std::uint64_t zeros =
+      size + tar::padding_for(size) + 2 * tar::kBlockSize;
+
+  std::string blob("\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff", 10);
+  z_stream zs{};
+  EXPECT_EQ(deflateInit2(&zs, 1, Z_DEFLATED, -15, 8, Z_DEFAULT_STRATEGY), Z_OK);
+  compress::Crc32 crc;
+  char out[64 * 1024];
+  const auto feed = [&](std::string_view raw, bool last) {
+    crc.update(raw);
+    zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(raw.data()));
+    zs.avail_in = static_cast<uInt>(raw.size());
+    do {
+      zs.next_out = reinterpret_cast<Bytef*>(out);
+      zs.avail_out = sizeof out;
+      deflate(&zs, last ? Z_FINISH : Z_NO_FLUSH);
+      blob.append(out, sizeof out - zs.avail_out);
+    } while (zs.avail_out == 0);
+  };
+  feed(head, false);
+  const std::string chunk(64 * 1024, '\0');
+  for (std::uint64_t left = zeros; left > 0;) {
+    const std::size_t take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size()));
+    left -= take;
+    feed(std::string_view(chunk).substr(0, take), left == 0);
+  }
+  deflateEnd(&zs);
+  const std::uint64_t raw_size = head.size() + zeros;
+  for (const std::uint32_t word :
+       {crc.value(), static_cast<std::uint32_t>(raw_size & 0xffffffffULL)}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      blob += static_cast<char>((word >> shift) & 0xff);
+    }
+  }
+  return blob;
+}
+
+// First in this file, so it runs first in the suite's process: VmHWM only
+// shows growth above the process's earlier peak.
+TEST(LayerAnalyzerTest, AHugeLayerIsAnalyzedInBoundedMemory) {
+  constexpr std::uint64_t kFileBytes = 256ull << 20;
+  const std::string blob = zero_file_layer(kFileBytes);
+  ASSERT_LT(blob.size(), 4u << 20);
+
+  std::vector<FileRecord> records;
+  const FileVisitor visitor = [&](std::string_view path,
+                                  const FileRecord& record) {
+    EXPECT_EQ(path, "zeros.bin");
+    records.push_back(record);
+  };
+  const LayerAnalyzer analyzer;
+  const std::uint64_t rss_before_kb = status_kb("VmRSS:");
+  const std::uint64_t hwm_before_kb = status_kb("VmHWM:");
+  auto profile = analyzer.analyze_blob(blob, &visitor);
+  const std::uint64_t hwm_after_kb = status_kb("VmHWM:");
+  ASSERT_TRUE(profile.ok()) << profile.error().message();
+
+  EXPECT_EQ(profile.value().file_count, 1u);
+  EXPECT_EQ(profile.value().fls, kFileBytes);
+  EXPECT_EQ(profile.value().cls, blob.size());
+  EXPECT_EQ(profile.value().digest, digest::Digest::of(blob));
+  digest::Sha256 zeros;
+  const std::string chunk(1 << 20, '\0');
+  for (std::uint64_t done = 0; done < kFileBytes; done += chunk.size()) {
+    zeros.update(chunk);
+  }
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].size, kFileBytes);
+  EXPECT_EQ(records[0].digest, digest::Digest(zeros.finish()));
+
+#ifndef DOCKMINE_TEST_SANITIZED
+  // The peak during the call, over the resident set before it, bounds the
+  // pass's memory from above; whole-layer inflate would add 256 MiB.
+  ASSERT_GT(hwm_after_kb, 0u) << "no VmHWM in /proc/self/status";
+  EXPECT_LT(hwm_after_kb - std::min(rss_before_kb, hwm_after_kb), 32u << 10)
+      << "VmRSS before " << rss_before_kb << " kB, VmHWM " << hwm_before_kb
+      << " -> " << hwm_after_kb << " kB";
+#else
+  (void)rss_before_kb;
+  (void)hwm_before_kb;
+  (void)hwm_after_kb;
+#endif
+}
+
+TEST(LayerAnalyzerTest, TrailerFaultsFailLikeGunzipAndRouteNothing) {
+  const synth::HubModel hub(synth::Calibration::light(), synth::Scale{20, 5});
+  const synth::Materializer materializer(hub, /*gzip_level=*/1);
+  // A layer past two windows, so the walk has seen files when the pass
+  // reaches the trailer.
+  std::string blob;
+  for (const synth::LayerId id : hub.unique_layers()) {
+    const synth::LayerSpec spec = hub.layer_spec(id);
+    if (spec.file_count < 3 ||
+        materializer.layer_tar(spec).size() < 2 * LayerAnalyzer::kWindowBytes) {
+      continue;
+    }
+    blob = materializer.layer_blob(spec).value();
+    break;
+  }
+  ASSERT_FALSE(blob.empty());
+  ASSERT_TRUE(compress::gzip_decompress(blob).ok());
+
+  // CRC-32 is the trailer's first word, ISIZE its second.
+  for (const std::size_t from_end : {std::size_t{8}, std::size_t{4}}) {
+    SCOPED_TRACE(from_end == 8 ? "CRC" : "ISIZE");
+    std::string bad = blob;
+    bad[bad.size() - from_end] ^= 0x01;
+    const auto reference = compress::gzip_decompress(bad);
+    ASSERT_FALSE(reference.ok());
+
+    // The visitor sees the layer's files before the trailer is checked...
+    std::size_t visited = 0;
+    const FileVisitor visitor = [&](std::string_view, const FileRecord&) {
+      ++visited;
+    };
+    const LayerAnalyzer analyzer;
+    auto profile = analyzer.analyze_blob(bad, &visitor);
+    ASSERT_FALSE(profile.ok());
+    EXPECT_EQ(profile.error().code(), reference.error().code());
+    EXPECT_EQ(profile.error().message(), reference.error().message());
+    EXPECT_GT(visited, 0u);
+
+    // ...so the pipeline holds them, and a failed layer routes nothing.
+    registry::Manifest manifest;
+    manifest.repository = "corrupt/layer";
+    manifest.layers.push_back({digest::Digest::of(bad), bad.size()});
+    const blob::BlobPtr shared = std::make_shared<const std::string>(bad);
+    std::atomic<std::size_t> delivered{0};
+    AnalysisPipeline::Sink sink;
+    sink.on_layer_files = [&](const digest::Digest&,
+                              std::span<const FileRecord> records) {
+      delivered += records.size() + 1;
+    };
+    const AnalysisPipeline pipeline;
+    auto run = pipeline.run(
+        {manifest},
+        [&](const digest::Digest&) -> util::Result<blob::BlobPtr> {
+          return shared;
+        },
+        sink);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.error().code(), reference.error().code());
+    EXPECT_EQ(delivered.load(), 0u);
+  }
+}
 
 TEST(LayerAnalyzerTest, ProfilesHandcraftedTar) {
   tar::Writer writer;

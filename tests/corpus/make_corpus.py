@@ -111,6 +111,16 @@ def whiteout_edges_tar():
     return tar_bytes(build)
 
 
+def long_name_over_cap_layer():
+    """A gzip'd layer whose GNU long-name ('L') body is one byte over the
+    readers' 64 KiB cap (tar::kMaxLongName): a 65536-byte name plus its
+    NUL. Both tar readers must reject it as corrupt before buffering the
+    name, however the layer is fed to them."""
+    name = "deep/" * 13107 + "x"
+    assert len(name) == 65536
+    return gzip_bytes(tar_bytes(lambda tf: add_file(tf, name, b"payload")))
+
+
 def shard_run_bytes(shard_count, shard_index, entries):
     """Encode a dockmine::shard spill run (run_format.h, DMSHRUN1 v1).
 
@@ -253,6 +263,8 @@ CORPUS = {
     # The whiteout tar again, as a gzip'd layer blob for the full
     # gunzip -> untar -> classify path.
     "layer_whiteout_edges.bin": lambda: gzip_bytes(whiteout_edges_tar()),
+    # A layer whose long name is one byte over the readers' cap.
+    "layer_long_name_over_cap.bin": long_name_over_cap_layer,
     # Shard spill runs (dockmine::shard run_format): one good, two damaged.
     "shard_run_valid.bin": valid_shard_run,
     "shard_run_truncated.bin": truncated_shard_run,

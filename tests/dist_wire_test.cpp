@@ -184,38 +184,56 @@ TEST(DistWire, UnknownKindAndNonzeroFlagsAreCorrupt) {
 // ---- codec roundtrips --------------------------------------------------
 
 TEST(DistWire, JobSpecRoundtrip) {
-  JobSpec spec;
-  spec.repositories = 123;
-  spec.seed = 42;
-  spec.light_calibration = false;
-  spec.gzip_level = 6;
-  spec.download_workers = 7;
-  spec.analyze_workers = 3;
-  spec.shards = 16;
-  spec.spill_threshold_bytes = 1ull << 30;
+  // 0 is the all-cores default; it travels as 0 and each worker resolves
+  // it on its own machine.
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{0}}) {
+    JobSpec spec;
+    spec.repositories = 123;
+    spec.seed = 42;
+    spec.light_calibration = false;
+    spec.gzip_level = 6;
+    spec.threads = threads;
+    spec.shards = 16;
+    spec.spill_threshold_bytes = 1ull << 30;
 
-  auto parsed = wire::job_spec_from_json(wire::job_spec_to_json(spec));
-  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
-  const JobSpec& got = parsed.value();
-  EXPECT_EQ(got.repositories, spec.repositories);
-  EXPECT_EQ(got.seed, spec.seed);
-  EXPECT_EQ(got.light_calibration, spec.light_calibration);
-  EXPECT_EQ(got.gzip_level, spec.gzip_level);
-  EXPECT_EQ(got.download_workers, spec.download_workers);
-  EXPECT_EQ(got.analyze_workers, spec.analyze_workers);
-  EXPECT_EQ(got.shards, spec.shards);
-  EXPECT_EQ(got.spill_threshold_bytes, spec.spill_threshold_bytes);
+    auto parsed = wire::job_spec_from_json(wire::job_spec_to_json(spec));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    const JobSpec& got = parsed.value();
+    EXPECT_EQ(got.repositories, spec.repositories);
+    EXPECT_EQ(got.seed, spec.seed);
+    EXPECT_EQ(got.light_calibration, spec.light_calibration);
+    EXPECT_EQ(got.gzip_level, spec.gzip_level);
+    EXPECT_EQ(got.threads, threads);
+    EXPECT_EQ(got.shards, spec.shards);
+    EXPECT_EQ(got.spill_threshold_bytes, spec.spill_threshold_bytes);
+  }
 }
 
 TEST(DistWire, JobSpecRejectsOutOfRange) {
   JobSpec spec;
   dockmine::json::Value doc = wire::job_spec_to_json(spec);
-  doc.set("download_workers", std::uint64_t{0});
-  EXPECT_FALSE(wire::job_spec_from_json(doc).ok());
+  for (const std::uint64_t threads :
+       {std::uint64_t{257}, std::uint64_t{1} << 32}) {
+    doc = wire::job_spec_to_json(spec);
+    doc.set("threads", threads);
+    const auto decoded = wire::job_spec_from_json(doc);
+    ASSERT_FALSE(decoded.ok()) << threads;
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kCorrupt);
+    EXPECT_EQ(decoded.error().message(),
+              "wire: job spec: threads must be in 0..256, got " +
+                  std::to_string(threads));
+  }
 
-  doc = wire::job_spec_to_json(spec);
-  doc.set("analyze_workers", std::uint64_t{0});
-  EXPECT_FALSE(wire::job_spec_from_json(doc).ok());
+  // A document without the one thread count is malformed.
+  const dockmine::json::Value full = wire::job_spec_to_json(spec);
+  dockmine::json::Value without = dockmine::json::Value::object();
+  for (const auto& [key, value] : full.members()) {
+    if (key != "threads") without.set(key, value);
+  }
+  ASSERT_EQ(without.size() + 1, full.size());
+  const auto no_threads = wire::job_spec_from_json(without);
+  ASSERT_FALSE(no_threads.ok());
+  EXPECT_EQ(no_threads.error().code(), ErrorCode::kCorrupt);
 
   for (const std::uint64_t shards : {std::uint64_t{0}, std::uint64_t{5000},
                                      std::uint64_t{1} << 32}) {

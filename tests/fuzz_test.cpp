@@ -17,7 +17,10 @@
 #include "dockmine/registry/http_gateway.h"
 #include "dockmine/shard/merger.h"
 #include "dockmine/shard/run_format.h"
+#include "dockmine/synth/generator.h"
+#include "dockmine/synth/materialize.h"
 #include "dockmine/tar/reader.h"
+#include "dockmine/tar/writer.h"
 #include "dockmine/util/rng.h"
 
 namespace dockmine {
@@ -626,6 +629,228 @@ TEST(CorpusTest, WhiteoutLayerBlobAnalyzesDeterministically) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(profile.value().digest, again.value().digest);
   EXPECT_EQ(profile.value().fls, again.value().fls);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle for the bounded pass. analyze_blob walks a layer in
+// one pass over an inflate window; the reference is gunzip-then-walk:
+// gzip_decompress, analyze_tar over the whole tar, and the blob's size and
+// digest. Both must succeed or fail together with the same ErrorCode, and
+// on success agree on every profile field and on the file and directory
+// visitors' sequences.
+// ---------------------------------------------------------------------------
+
+struct Analysis {
+  bool ok = false;
+  util::Error error;
+  analyzer::LayerProfile profile;
+  std::vector<std::string> files;        ///< path|digest|size|type
+  std::vector<std::string> directories;  ///< path|depth|file count
+};
+
+using AnalyzerOptions = analyzer::LayerAnalyzer::Options;
+
+Analysis analyze(std::string_view blob, const AnalyzerOptions& options,
+                 bool one_pass) {
+  const analyzer::LayerAnalyzer layer_analyzer(options);
+  Analysis out;
+  const analyzer::FileVisitor visitor =
+      [&](std::string_view path, const analyzer::FileRecord& record) {
+        out.files.push_back(std::string(path) + "|" +
+                            record.digest.to_string() + "|" +
+                            std::to_string(record.size) + "|" +
+                            std::string(filetype::to_string(record.type)));
+      };
+  const analyzer::DirectoryVisitor dir_visitor =
+      [&](const analyzer::DirectoryRecord& dir) {
+        out.directories.push_back(dir.path + "|" + std::to_string(dir.depth) +
+                                  "|" + std::to_string(dir.file_count));
+      };
+  util::Result<analyzer::LayerProfile> profile = util::internal("unset");
+  if (one_pass) {
+    profile = layer_analyzer.analyze_blob(blob, &visitor, &dir_visitor);
+  } else if (auto tar = compress::gzip_decompress(blob, options.max_uncompressed);
+             !tar.ok()) {
+    profile = std::move(tar).error();
+  } else {
+    profile = layer_analyzer.analyze_tar(tar.value(), &visitor, &dir_visitor);
+    if (profile.ok()) {
+      profile.value().cls = blob.size();
+      profile.value().digest = digest::Digest::of(blob);
+    }
+  }
+  out.ok = profile.ok();
+  if (out.ok) {
+    out.profile = profile.value();
+  } else {
+    out.error = profile.error();
+  }
+  return out;
+}
+
+AnalyzerOptions capped(std::uint64_t cap) {
+  AnalyzerOptions options;
+  options.max_uncompressed = cap;
+  return options;
+}
+
+/// Analyze `blob` both ways; returns whether it analyzed.
+bool expect_one_pass_matches(std::string_view blob, const std::string& label,
+                             const AnalyzerOptions& options = {}) {
+  const Analysis pass = analyze(blob, options, /*one_pass=*/true);
+  const Analysis reference = analyze(blob, options, /*one_pass=*/false);
+  EXPECT_EQ(pass.ok, reference.ok) << label;
+  if (pass.ok != reference.ok) return false;
+  if (!reference.ok) {
+    // Same code, and the same fault: one parser and one inflater, so the
+    // messages match too unless the fault order differs.
+    EXPECT_EQ(pass.error.code(), reference.error.code()) << label;
+    EXPECT_EQ(pass.error.message(), reference.error.message()) << label;
+    return false;
+  }
+  const analyzer::LayerProfile& a = pass.profile;
+  const analyzer::LayerProfile& b = reference.profile;
+  EXPECT_EQ(a.digest, b.digest) << label;
+  EXPECT_EQ(a.fls, b.fls) << label;
+  EXPECT_EQ(a.cls, b.cls) << label;
+  EXPECT_EQ(a.file_count, b.file_count) << label;
+  EXPECT_EQ(a.dir_count, b.dir_count) << label;
+  EXPECT_EQ(a.max_depth, b.max_depth) << label;
+  EXPECT_EQ(pass.files, reference.files) << label;
+  EXPECT_EQ(pass.directories, reference.directories) << label;
+  return true;
+}
+
+TEST(CorpusTest, OnePassMatchesGunzipThenWalkOnEveryLayerInput) {
+  // gzip and layer files as they are, tar files wrapped in a valid member.
+  int checked = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(DOCKMINE_CORPUS_DIR)) {
+    const std::string name = file.path().filename().string();
+    std::string blob = read_corpus(name);
+    if (name.rfind("tar_", 0) == 0) {
+      auto wrapped = compress::gzip_compress(blob);
+      ASSERT_TRUE(wrapped.ok());
+      blob = std::move(wrapped).value();
+    } else if (name.rfind("gzip_", 0) != 0 && name.rfind("layer_", 0) != 0) {
+      continue;
+    }
+    expect_one_pass_matches(blob, name);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 7);
+}
+
+TEST(CorpusTest, LongNameOverTheCapIsCorruptForBothReaders) {
+  const std::string blob = read_corpus("layer_long_name_over_cap.bin");
+  const analyzer::LayerAnalyzer layer_analyzer;
+  auto profile = layer_analyzer.analyze_blob(blob);
+  ASSERT_FALSE(profile.ok());
+  EXPECT_EQ(profile.error().code(), util::ErrorCode::kCorrupt);
+
+  auto tar_bytes = compress::gzip_decompress(blob);
+  ASSERT_TRUE(tar_bytes.ok());
+  tar::Reader reader(tar_bytes.value());
+  auto entry = reader.next();
+  ASSERT_FALSE(entry.ok());
+  EXPECT_EQ(entry.error().code(), util::ErrorCode::kCorrupt);
+}
+
+/// `bytes` cut short or with one byte changed, chosen by `rng`.
+std::string mutate(std::string bytes, util::Rng& rng) {
+  if (rng.chance(0.5)) {
+    bytes.resize(rng.uniform(bytes.size()));
+  } else {
+    bytes[rng.uniform(bytes.size())] ^=
+        static_cast<char>(1 + rng.uniform(255));
+  }
+  return bytes;
+}
+
+TEST(DifferentialTest, OnePassMatchesGunzipThenWalkOnMutatedLayers) {
+  // Four materialized layers, each spanning a few inflate windows.
+  const synth::HubModel hub(synth::Calibration::light(), synth::Scale{60, 11});
+  const synth::Materializer materializer(hub, /*gzip_level=*/1);
+  std::vector<std::string> tars;
+  for (const synth::LayerId id : hub.unique_layers()) {
+    std::string tar = materializer.layer_tar(hub.layer_spec(id));
+    if (tar.size() < 2 * analyzer::LayerAnalyzer::kWindowBytes ||
+        tar.size() > 4 * analyzer::LayerAnalyzer::kWindowBytes) {
+      continue;
+    }
+    tars.push_back(std::move(tar));
+    if (tars.size() == 4) break;
+  }
+  ASSERT_EQ(tars.size(), 4u);
+
+  // A mutant's ISIZE is garbage, and gunzip sizes its first allocation by
+  // it (up to 1032x the body); a cap well past every layer keeps that small.
+  constexpr std::uint64_t kCap = 16 * analyzer::LayerAnalyzer::kWindowBytes;
+  util::Rng rng(20170530);
+  int analyzed = 0;
+  for (std::size_t layer = 0; layer < tars.size(); ++layer) {
+    const std::string& tar = tars[layer];
+    auto blob = compress::gzip_compress(tar, 1);
+    ASSERT_TRUE(blob.ok());
+    const std::string label = "layer " + std::to_string(layer);
+    EXPECT_TRUE(expect_one_pass_matches(blob.value(), label));
+    // The cap: exactly the tar passes; one byte less, or a cap inside the
+    // first window, stops both.
+    EXPECT_TRUE(
+        expect_one_pass_matches(blob.value(), label, capped(tar.size())));
+    EXPECT_FALSE(
+        expect_one_pass_matches(blob.value(), label, capped(tar.size() - 1)));
+    EXPECT_FALSE(expect_one_pass_matches(blob.value(), label, capped(1000)));
+
+    // A tar fault in the first window with a gzip fault after it: the
+    // gzip fault must win, as when the layer was inflated before the walk.
+    std::string bad_header = tar;
+    bad_header[0] ^= 0x20;  // the first header's name: checksum mismatch
+    auto torn = compress::gzip_compress(bad_header, 1);
+    ASSERT_TRUE(torn.ok());
+    EXPECT_FALSE(expect_one_pass_matches(torn.value(), label + " torn, capped",
+                                         capped(tar.size() - 1)));
+    std::string torn_bad_crc = torn.value();
+    torn_bad_crc[torn_bad_crc.size() - 8] ^= 0x01;
+    EXPECT_FALSE(
+        expect_one_pass_matches(torn_bad_crc, label + " torn, bad CRC"));
+
+    for (int i = 0; i < 25; ++i) {
+      // Gzip-level faults: the member itself damaged.
+      const std::string bad_blob = mutate(blob.value(), rng);
+      analyzed += expect_one_pass_matches(
+          bad_blob, label + " blob mutant " + std::to_string(i), capped(kCap));
+
+      // Tar-level faults in a valid member, then the same with a cap that
+      // may fall after the fault: the cap must still win.
+      auto bad_tar = compress::gzip_compress(mutate(tar, rng), 1);
+      ASSERT_TRUE(bad_tar.ok());
+      const std::string tar_label = label + " tar mutant " + std::to_string(i);
+      analyzed +=
+          expect_one_pass_matches(bad_tar.value(), tar_label, capped(kCap));
+      expect_one_pass_matches(bad_tar.value(), tar_label + " capped",
+                              capped(rng.uniform(tar.size())));
+    }
+  }
+  // Some mutants still analyze (a flipped byte inside a file body).
+  EXPECT_GT(analyzed, 0);
+}
+
+TEST(DifferentialTest, ClassifierPrefixJoinsAcrossWindows) {
+  // The default 512-byte prefix never spans windows (a window is a whole
+  // number of tar blocks), so take a longer one. b's body starts 512 bytes
+  // before the first window ends: text there, control bytes after, so a
+  // prefix cut at the window would read as text.
+  constexpr std::size_t kWindow = analyzer::LayerAnalyzer::kWindowBytes;
+  tar::Writer writer;
+  writer.add_file("a", std::string(kWindow - 3 * tar::kBlockSize, 'a'));
+  writer.add_file("b", std::string(tar::kBlockSize, 't') +
+                           std::string(4096, '\x01'));
+  auto blob = compress::gzip_compress(writer.finish(), 1);
+  ASSERT_TRUE(blob.ok());
+  AnalyzerOptions options;
+  options.classify_prefix = 4096;
+  EXPECT_TRUE(expect_one_pass_matches(blob.value(), "spanning prefix", options));
 }
 
 }  // namespace

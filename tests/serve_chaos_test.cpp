@@ -66,8 +66,7 @@ core::JobSpec chaos_spec(std::uint64_t repositories = 6) {
   spec.seed = 20170530;
   spec.light_calibration = true;
   spec.gzip_level = 1;
-  spec.download_workers = 2;
-  spec.analyze_workers = 2;
+  spec.threads = 2;
   spec.shards = 2;
   return spec;
 }

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,8 +247,12 @@ TEST(ShardPipelineTest, ForcedSpillKeepsPeakResidencyUnderConfiguredBound) {
       std::max<std::uint64_t>(options.shard.spill_threshold_bytes, floor);
   // Every (writer, shard) store spills before exceeding its trigger, and a
   // map table only grows by doubling, so the instantaneous peak per store
-  // is < 2x the trigger. Only the analyze pool's threads write.
-  const std::uint64_t writers = options.analyze_workers;
+  // is < 2x the trigger. Only the analyze pool's threads write; the
+  // default pool (0) has one per core.
+  const std::uint64_t writers =
+      options.analyze_workers != 0
+          ? options.analyze_workers
+          : std::max(1u, std::thread::hardware_concurrency());
   const std::uint64_t bound = writers * options.shard.shards * 2 * trigger;
 
   auto run = run_end_to_end(options);

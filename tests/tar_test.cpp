@@ -101,7 +101,9 @@ TEST(TarWriterTest, LongNamesUseGnuExtension) {
   long_path += "/file.txt";
   Writer writer;
   writer.add_file(long_path, "x");
-  const auto entries = read_all(writer.finish());
+  // Entry content views the archive, so it must outlive them.
+  const std::string archive = writer.finish();
+  const auto entries = read_all(archive);
   ASSERT_EQ(entries.size(), 1u);  // 'L' entry is transparent
   EXPECT_EQ(entries[0].header.name, long_path);
   EXPECT_EQ(entries[0].content, "x");
@@ -169,6 +171,115 @@ TEST(TarReaderTest, MissingTrailerTolerated) {
   archive.resize(archive.size() - 2 * kBlockSize);  // strip trailer
   const auto entries = read_all(archive);
   ASSERT_EQ(entries.size(), 1u);
+}
+
+TEST(TarReaderTest, LongNamesAreCappedAtTheLimit) {
+  // The 'L' body is the name plus its NUL.
+  const std::string at_cap(kMaxLongName - 1, 'n');
+  Writer fits;
+  fits.add_file(at_cap, "x");
+  const auto entries = read_all(fits.finish());
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].header.name, at_cap);
+
+  Writer over;
+  over.add_file(at_cap + "n", "x");
+  const std::string archive = over.finish();
+  Reader reader(archive);
+  auto entry = reader.next();
+  ASSERT_FALSE(entry.ok());
+  EXPECT_EQ(entry.error().code(), util::ErrorCode::kCorrupt);
+}
+
+/// Every parser event of `archive` fed in pieces of `piece` bytes, with
+/// consecutive data pieces joined, as one string per entry.
+struct Walk {
+  std::vector<std::string> entries;  ///< "name|type|size|body"
+  bool ok = false;
+  util::ErrorCode code = util::ErrorCode::kInternal;
+};
+
+Walk walk_in_pieces(std::string_view archive, std::size_t piece) {
+  Walk walk;
+  Parser parser;
+  std::string current;
+  util::Status status;
+  bool ended = false;
+  for (std::size_t at = 0; status.ok() && !ended && at < archive.size();
+       at += piece) {
+    std::string_view input = archive.substr(at, piece);
+    for (;;) {
+      auto event = parser.next(input);
+      if (!event.ok()) {
+        status = event.error();
+        break;
+      }
+      if (event.value() == Parser::Event::kNeedInput) break;
+      if (event.value() == Parser::Event::kEnd) {
+        ended = true;
+        break;
+      }
+      if (event.value() == Parser::Event::kEntry) {
+        const Header& h = parser.header();
+        current = h.name + "|" + static_cast<char>(h.type) + "|" +
+                  std::to_string(h.size) + "|";
+      } else if (event.value() == Parser::Event::kData) {
+        current += parser.data();
+      } else {
+        walk.entries.push_back(current);
+      }
+    }
+  }
+  if (status.ok() && !ended) status = parser.finish();
+  walk.ok = status.ok();
+  if (!status.ok()) walk.code = status.error().code();
+  return walk;
+}
+
+TEST(TarParserTest, AnyPieceSizeGivesTheSameWalk) {
+  Writer writer;
+  writer.add_directory("usr/lib");
+  writer.add_file(std::string(300, 'l') + "/long.txt", std::string(1500, 'a'));
+  writer.add_file("usr/lib/empty", "");
+  writer.add_symlink("usr/lib/alias", "empty");
+  writer.add_file("usr/lib/block", std::string(512, 'b'));
+  writer.add_whiteout("usr", "gone");
+  const std::string archive = writer.finish();
+  // Damaged copies: a torn body, a partial header block, a bad checksum,
+  // and missing trailer blocks and final padding (tolerated).
+  const std::string cases[] = {
+      archive,
+      archive.substr(0, 3 * kBlockSize + 100),
+      archive.substr(0, archive.size() - 2 * kBlockSize - 200),
+      archive.substr(0, 5 * kBlockSize + 10),
+      archive.substr(0, archive.size() - 2 * kBlockSize),
+      std::string(archive).replace(kBlockSize * 5 + 7, 1, "#"),
+  };
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    const Walk whole = walk_in_pieces(cases[c], cases[c].size() + 1);
+    // The in-memory Reader is the same parser fed once.
+    Reader reader(cases[c]);
+    std::size_t read_entries = 0;
+    const util::Status read = reader.for_each([&](const Entry&) {
+      ++read_entries;
+    });
+    EXPECT_EQ(read.ok(), whole.ok) << "case " << c;
+    if (whole.ok) {
+      EXPECT_EQ(read_entries, whole.entries.size()) << "case " << c;
+    }
+    for (const std::size_t piece : {1, 7, 511, 512, 513, 4096}) {
+      const Walk split = walk_in_pieces(cases[c], piece);
+      EXPECT_EQ(split.ok, whole.ok) << "case " << c << " piece " << piece;
+      EXPECT_EQ(split.code, whole.code) << "case " << c << " piece " << piece;
+      if (whole.ok) {
+        EXPECT_EQ(split.entries, whole.entries)
+            << "case " << c << " piece " << piece;
+      }
+    }
+  }
+  EXPECT_EQ(walk_in_pieces(cases[0], 1).entries.size(), 6u);
+  EXPECT_TRUE(walk_in_pieces(cases[4], 3).ok);
+  EXPECT_FALSE(walk_in_pieces(cases[1], 3).ok);
 }
 
 TEST(TarIntegrationTest, GzippedTarRoundTrip) {

@@ -496,8 +496,7 @@ TEST(ServeTemporal, BatchStateDirIsNotAdoptedByATemporalDaemon) {
     options.job.repositories = 4;
     options.job.seed = 20170530;
     options.job.shards = 1;
-    options.job.download_workers = 2;
-    options.job.analyze_workers = 2;
+    options.job.threads = 2;
     options.state_dir = dir.str();
     serve::ServeDaemon batch_daemon(options);
     ASSERT_TRUE(batch_daemon.start().ok());

@@ -364,8 +364,8 @@ int cmd_metrics(const Flags& flags) {
   // the full calibration.
   options.calibration = flags.flag("paper") ? synth::Calibration::paper()
                                             : synth::Calibration::light();
-  options.download_workers = flags.u64("workers", 4);
-  options.analyze_workers = flags.u64("workers", 4);
+  options.download_workers = flags.u64("workers", 0);
+  options.analyze_workers = flags.u64("workers", 0);
 
   options.shard.shards = static_cast<std::uint32_t>(flags.u64("shards", 1));
   options.shard.spill_threshold_bytes = flags.u64("spill-mb", 64) << 20;
@@ -677,8 +677,8 @@ int cmd_evolve(const Flags& flags) {
       options.scale = scale;
       options.calibration = calibration;
       options.gzip_level = gzip_level;
-      options.download_workers = flags.u64("workers", 4);
-      options.analyze_workers = flags.u64("workers", 4);
+      options.download_workers = flags.u64("workers", 0);
+      options.analyze_workers = flags.u64("workers", 0);
       options.external_service = &oracle_service;
       auto batch = core::run_end_to_end(options);
       if (!batch.ok()) {
@@ -734,8 +734,7 @@ core::JobSpec job_spec_from(const Flags& flags) {
   spec.seed = flags.u64("seed", 20170530);
   spec.light_calibration = !flags.flag("paper");
   spec.gzip_level = static_cast<int>(flags.u64("gzip", 1));
-  spec.download_workers = flags.u64("workers", 4);
-  spec.analyze_workers = flags.u64("workers", 2);
+  spec.threads = flags.u64("workers", 0);
   spec.shards = static_cast<std::uint32_t>(flags.u64("shards", 4));
   return spec;
 }
@@ -1064,7 +1063,7 @@ int usage() {
       "  report   [--repos N] [--seed S]   paper-vs-measured summary\n"
       "  dedup    [--repos N] [--seed S] [--light]\n"
       "  serve    [--repos N] [--seed S] [--port P] [--state-dir DIR]\n"
-      "           [--paper] [--shards N] [--io-timeout-ms N]\n"
+      "           [--paper] [--shards N] [--workers W] [--io-timeout-ms N]\n"
       "           [--slowloris-ms N] [--report-out F]\n"
       "           [--temporal]   long-lived query/ingest daemon; with\n"
       "           --temporal it serves an evolving registry and accepts\n"
@@ -1084,7 +1083,7 @@ int usage() {
       "           live daemon monitor: per-interval request rates,\n"
       "           latency quantiles, alert + journal state\n"
       "  evolve   [--repos N] [--seed S] [--epochs K] [--paper] [--gzip L]\n"
-      "           [--verify] [--trend-out F]   evolve the registry K\n"
+      "           [--verify] [--workers W] [--trend-out F]   evolve the registry K\n"
       "           epochs with incremental delta analysis; --verify pins\n"
       "           each epoch's report byte-for-byte against a\n"
       "           from-scratch batch run\n"
@@ -1106,10 +1105,12 @@ int usage() {
       "  gc       --dir STORE [live-manifest.json ...]\n"
       "  coordinate [--leases K] [--spawn-workers W] [--work-dir DIR]\n"
       "           [--repos N] [--seed S] [--paper] [--shards N] [--port P]\n"
-      "           [--heartbeat-deadline-ms N] [--max-attempts N]\n"
+      "           [--workers W] [--heartbeat-deadline-ms N] [--max-attempts N]\n"
       "           [--chaos-kill-worker I] [--chaos-hang-worker I]\n"
       "           [--duplicate-every-lease] [--verify-serial] [--out F]\n"
       "           distributed run: coordinator + worker processes\n"
+      "  (serve, coordinate, metrics and evolve: --workers W threads per\n"
+      "   pipeline stage, 0..256; 0, the default, is every core)\n"
       "  worker   --connect PORT [--id N] [--scratch DIR]\n"
       "           [--heartbeat-ms N] [--chaos-die-after-one]\n"
       "           [--chaos-hang-after-one]   one distributed worker\n";
