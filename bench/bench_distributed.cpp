@@ -3,8 +3,10 @@
 // pipeline as the baseline and byte-equality oracle. A second phase
 // SIGKILLs a worker mid-lease and measures what the recovery machinery
 // (liveness detection, lease reassignment, re-execution) costs in wall
-// time. Writes BENCH_distributed.json (DOCKMINE_BENCH_JSON overrides) for
-// CI trend tracking.
+// time. Each run also reports its workers' summed CPU time, so scaling can
+// be judged by the work K workers do, not only by wall time. Writes
+// BENCH_distributed.json (DOCKMINE_BENCH_JSON overrides) for CI trend
+// tracking.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -57,8 +60,21 @@ pid_t spawn_worker(std::uint16_t port, std::uint64_t id,
   ::_exit(0);
 }
 
+/// User plus system CPU seconds of every child reaped so far.
+double reaped_children_cpu_seconds() {
+  rusage usage{};
+  ::getrusage(RUSAGE_CHILDREN, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 struct DistRun {
   double wall_seconds = 0.0;
+  /// CPU the forked workers used, summed: RUSAGE_CHILDREN's growth across
+  /// the run, which counts them because they are reaped before it is read.
+  double workers_cpu_seconds = 0.0;
   core::DistStats stats;
   std::string report;  ///< analysis_report_json(...).dump()
   bool ok = false;
@@ -81,6 +97,7 @@ DistRun run_distributed(const core::JobSpec& spec, std::uint32_t leases,
   core::Coordinator coordinator(options);
   if (!coordinator.bind().ok()) return out;
 
+  const double cpu_before = reaped_children_cpu_seconds();
   std::vector<pid_t> children;
   for (int i = 0; i < workers; ++i) {
     core::WorkerChaos chaos;
@@ -98,6 +115,7 @@ DistRun run_distributed(const core::JobSpec& spec, std::uint32_t leases,
     int status = 0;
     ::waitpid(pid, &status, 0);
   }
+  out.workers_cpu_seconds = reaped_children_cpu_seconds() - cpu_before;
   std::filesystem::remove_all(work_dir);
   if (!report.ok()) {
     std::fprintf(stderr, "distributed run failed: %s\n",
@@ -149,14 +167,16 @@ int main(int argc, char** argv) {
     const bool identical = run.report == serial_report;
     all_identical = all_identical && identical;
     std::printf("  K=%u workers         %7.2fs  (%.2fx vs serial, "
-                "%llu heartbeats, report %s)\n",
+                "%.2fs worker CPU, %llu heartbeats, report %s)\n",
                 k, run.wall_seconds, serial_wall / run.wall_seconds,
+                run.workers_cpu_seconds,
                 static_cast<unsigned long long>(run.stats.heartbeats_received),
                 identical ? "identical" : "DIFFERS");
     auto entry = json::Value::object();
     entry.set("workers", std::uint64_t{k});
     entry.set("wall_seconds", run.wall_seconds);
     entry.set("speedup_vs_serial", serial_wall / run.wall_seconds);
+    entry.set("workers_cpu_seconds", run.workers_cpu_seconds);
     entry.set("heartbeats", run.stats.heartbeats_received);
     entry.set("files_received", run.stats.files_received);
     entry.set("bytes_received", run.stats.bytes_received);

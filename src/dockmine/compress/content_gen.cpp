@@ -67,7 +67,14 @@ std::string generate(std::size_t size, double target_ratio, util::Rng& rng,
                      bool ascii_safe) {
   std::string out;
   out.reserve(size);
-  if (size == 0) return out;
+  generate_into(out, size, target_ratio, rng, ascii_safe, {});
+  return out;
+}
+
+void generate_into(std::string& out, std::size_t size, double target_ratio,
+                   util::Rng& rng, bool ascii_safe,
+                   const std::function<void()>& on_block) {
+  if (size == 0) return;
 
   // Measured deflate ratios of the pure block kinds (see compress_test).
   constexpr double kRandomRatio = 1.0;
@@ -120,8 +127,8 @@ std::string generate(std::size_t size, double target_ratio, util::Rng& rng,
       }
     }
     remaining -= take;
+    if (on_block) on_block();
   }
-  return out;
 }
 
 std::string generate_with_magic(std::string_view magic, std::size_t size,

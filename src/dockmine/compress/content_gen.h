@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "dockmine/util/rng.h"
@@ -36,6 +37,13 @@ void append_zeros(std::string& out, std::size_t size);
 /// then [~1.3, ~5.7] and the target is clamped into it.
 std::string generate(std::size_t size, double target_ratio, util::Rng& rng,
                      bool ascii_safe = false);
+
+/// generate()'s appending form: appends the same bytes to `out` in blocks of
+/// at most 16 KiB and calls `on_block` (if set) after each, so a caller can
+/// drain `out` between blocks and never hold the whole content.
+void generate_into(std::string& out, std::size_t size, double target_ratio,
+                   util::Rng& rng, bool ascii_safe,
+                   const std::function<void()>& on_block);
 
 /// Content whose first bytes carry the given magic signature (so the
 /// file-type classifier sees a realistic file) followed by filler with the

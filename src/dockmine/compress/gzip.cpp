@@ -3,6 +3,8 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstring>
 #include <limits>
 
@@ -48,58 +50,115 @@ std::uint64_t output_limit(std::uint64_t max_output) {
                                                               : max_output;
 }
 
-/// Raw DEFLATE (no zlib/gzip wrapper) of `raw`.
-util::Result<std::string> deflate_raw(std::string_view raw, int level) {
-  z_stream zs{};
-  if (deflateInit2(&zs, level, Z_DEFLATED, /*windowBits=*/-15,
-                   /*memLevel=*/8, Z_DEFAULT_STRATEGY) != Z_OK) {
-    return util::internal("deflateInit2 failed");
-  }
-  std::string out;
-  out.resize(deflateBound(&zs, static_cast<uLong>(raw.size())));
-  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(raw.data()));
-  const Bytef* const in_end = zs.next_in + raw.size();
-  zs.next_out = reinterpret_cast<Bytef*>(out.data());
-  const Bytef* const out_end = zs.next_out + out.size();
-  int rc = Z_OK;
-  while (rc == Z_OK) {
-    if (zs.avail_in == 0) zs.avail_in = zlib_slice(in_end - zs.next_in);
-    if (zs.avail_out == 0) zs.avail_out = zlib_slice(out_end - zs.next_out);
-    rc = deflate(&zs, zs.next_in + zs.avail_in == in_end ? Z_FINISH
-                                                          : Z_NO_FLUSH);
-  }
-  const std::size_t produced =
-      static_cast<std::size_t>(zs.next_out - reinterpret_cast<Bytef*>(out.data()));
-  deflateEnd(&zs);
-  if (rc != Z_STREAM_END) {
-    return util::internal("deflate did not finish (rc=" + std::to_string(rc) + ")");
-  }
-  out.resize(produced);
-  return out;
-}
-
 }  // namespace
 
-util::Result<std::string> gzip_compress(std::string_view raw, int level) {
-  if (level < 1 || level > 9) {
-    return util::invalid_argument("gzip level must be 1..9");
+struct GzipWriter::Deflate {
+  z_stream zs{};
+  bool initialized = false;
+  bool used = false;  ///< a member was begun, so the next needs a reset
+  std::array<char, 16 * 1024> chunk{};  ///< deflate's output, then appended
+  ~Deflate() {
+    if (initialized) deflateEnd(&zs);
   }
-  auto body = deflate_raw(raw, level);
-  if (!body.ok()) return std::move(body).error();
+};
 
-  std::string out;
-  out.reserve(body.value().size() + 18);
+GzipWriter::GzipWriter(int level) : level_(level) {
+  if (level < 1 || level > 9) {
+    status_ = util::invalid_argument("gzip level must be 1..9");
+    return;
+  }
+  deflate_ = std::make_unique<Deflate>();
+  if (deflateInit2(&deflate_->zs, level, Z_DEFLATED, /*windowBits=*/-15,
+                   /*memLevel=*/8, Z_DEFAULT_STRATEGY) != Z_OK) {
+    status_ = util::internal("deflateInit2 failed");
+    return;
+  }
+  deflate_->initialized = true;
+}
+
+GzipWriter::~GzipWriter() = default;
+
+void GzipWriter::begin(std::string& out) {
+  out_ = &out;
+  size_ = 0;
+  crc_.reset();
+  if (!status_.ok()) return;
+  if (deflate_->used && deflateReset(&deflate_->zs) != Z_OK) {
+    status_ = util::internal("deflateReset failed");
+    return;
+  }
+  deflate_->used = true;
   out += static_cast<char>(kMagic1);
   out += static_cast<char>(kMagic2);
   out += static_cast<char>(kMethodDeflate);
-  out += '\0';                      // FLG: no optional fields
-  put_le32(out, 0);                 // MTIME: 0 => no timestamp (reproducible)
-  out += static_cast<char>(level == 9 ? 2 : level == 1 ? 4 : 0);  // XFL
-  out += static_cast<char>(0xff);   // OS: unknown
-  out += body.value();
-  put_le32(out, Crc32::of(raw));
-  put_le32(out, static_cast<std::uint32_t>(raw.size() & 0xffffffffULL));
-  return out;
+  out += '\0';       // FLG: no optional fields
+  put_le32(out, 0);  // MTIME: 0 => no timestamp (reproducible)
+  out += static_cast<char>(level_ == 9 ? 2 : level_ == 1 ? 4 : 0);  // XFL
+  out += static_cast<char>(0xff);  // OS: unknown
+}
+
+void GzipWriter::write(std::string_view piece) {
+  assert(out_ != nullptr);
+  if (!status_.ok() || piece.empty()) return;
+  crc_.update(piece);
+  size_ += piece.size();
+  z_stream& zs = deflate_->zs;
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(piece.data()));
+  const Bytef* const end = zs.next_in + piece.size();
+  do {
+    zs.avail_in = zlib_slice(end - zs.next_in);
+    deflate_step(Z_NO_FLUSH);
+  } while (status_.ok() && zs.next_in != end);
+}
+
+util::Status GzipWriter::finish() {
+  assert(out_ != nullptr);
+  if (status_.ok()) {
+    deflate_->zs.next_in = Z_NULL;
+    deflate_->zs.avail_in = 0;
+    deflate_step(Z_FINISH);
+  }
+  if (!status_.ok()) return status_;
+  put_le32(*out_, crc_.value());
+  put_le32(*out_, static_cast<std::uint32_t>(size_ & 0xffffffffULL));
+  out_ = nullptr;
+  return util::Status::success();
+}
+
+/// Run deflate over the pending input with `flush`, appending its output to
+/// the member. Returns once the input is consumed (for Z_FINISH, once the
+/// stream has ended).
+void GzipWriter::deflate_step(int flush) {
+  z_stream& zs = deflate_->zs;
+  char* const chunk = deflate_->chunk.data();
+  for (;;) {
+    zs.next_out = reinterpret_cast<Bytef*>(chunk);
+    zs.avail_out = static_cast<uInt>(deflate_->chunk.size());
+    const int rc = deflate(&zs, flush);
+    out_->append(chunk, deflate_->chunk.size() - zs.avail_out);
+    if (rc == Z_STREAM_END) return;
+    if (rc != Z_OK && rc != Z_BUF_ERROR) {
+      status_ =
+          util::internal("deflate failed (rc=" + std::to_string(rc) + ")");
+      return;
+    }
+    if (flush != Z_FINISH && zs.avail_in == 0 && zs.avail_out != 0) return;
+  }
+}
+
+std::uint64_t gzip_bound(std::uint64_t raw_size) {
+  // compressBound covers a zlib stream (6 bytes of framing around DEFLATE);
+  // a gzip member frames it in 18.
+  return compressBound(static_cast<uLong>(raw_size)) + 18;
+}
+
+util::Result<std::string> gzip_compress(std::string_view raw, int level) {
+  GzipWriter writer(level);
+  std::string member;
+  writer.begin(member);
+  writer.write(raw);
+  if (auto done = writer.finish(); !done.ok()) return done.error();
+  return member;
 }
 
 util::Result<GzipInfo> gzip_probe(std::string_view member) {
@@ -211,10 +270,9 @@ std::size_t GzipReader::consumed() const noexcept {
 }
 
 std::size_t GzipReader::size_hint() const noexcept {
-  constexpr std::uint64_t kMaxDeflateRatio = 1032;
   return static_cast<std::size_t>(
       std::min({std::uint64_t{want_isize_}, output_limit(max_output_),
-                std::uint64_t{body_.size()} * kMaxDeflateRatio}));
+                4 * std::uint64_t{body_.size()}}));
 }
 
 util::Result<std::size_t> GzipReader::read(char* out, std::size_t size) {

@@ -19,9 +19,53 @@ namespace dockmine::compress {
 /// zlib compression level 1..9 (6 is the gzip default Docker uses).
 inline constexpr int kDefaultLevel = 6;
 
-/// Compress `raw` into one complete gzip member.
+/// Compress `raw` into one complete gzip member: a GzipWriter fed one
+/// piece.
 util::Result<std::string> gzip_compress(std::string_view raw,
                                         int level = kDefaultLevel);
+
+/// The most bytes a gzip member of a `raw_size`-byte payload can take, at
+/// any level: header, DEFLATE's worst case, trailer.
+std::uint64_t gzip_bound(std::uint64_t raw_size);
+
+/// One gzip member deflated incrementally: begin() appends the header to a
+/// caller's string, write() deflates the payload in pieces of any size, and
+/// finish() flushes DEFLATE and appends CRC-32 and ISIZE. The member's bytes
+/// do not depend on how the payload is split. The deflate state is
+/// allocated once, by the constructor, and reused for every member (the
+/// materializer builds each gzip thread's writer on the calling thread so
+/// that thread never allocates it). Errors (an invalid level, a deflate
+/// failure) are sticky: every finish() after one reports it.
+class GzipWriter {
+ public:
+  explicit GzipWriter(int level = kDefaultLevel);
+  ~GzipWriter();
+  GzipWriter(const GzipWriter&) = delete;
+  GzipWriter& operator=(const GzipWriter&) = delete;
+
+  /// Start a member appended to `out`, abandoning any member in progress.
+  /// `out` must outlive the member. The member only ever appends to `out`,
+  /// so a caller that reserved room for it is never reallocated.
+  void begin(std::string& out);
+
+  /// Deflate the next piece of the payload, appending what DEFLATE emits.
+  void write(std::string_view piece);
+
+  /// End the member: flush DEFLATE, then append CRC-32 and ISIZE.
+  util::Status finish();
+
+ private:
+  struct Deflate;  // zlib's stream state, kept out of this header
+
+  void deflate_step(int flush);
+
+  int level_;
+  std::string* out_ = nullptr;
+  std::uint64_t size_ = 0;
+  Crc32 crc_;
+  util::Status status_;
+  std::unique_ptr<Deflate> deflate_;
+};
 
 /// Decompress one complete gzip member; verifies CRC-32 and ISIZE.
 /// `max_output` caps the decompressed size (decompression-bomb guard).
@@ -55,10 +99,12 @@ class GzipReader {
   /// member in the same pass hashes the rest at the end).
   std::size_t consumed() const noexcept;
 
-  /// First allocation for a caller that collects the whole payload: the
-  /// trailer's ISIZE, which is untrusted, so never more than one byte past
-  /// `max_output` (the byte that proves the cap exceeded) nor DEFLATE's
-  /// 1032:1 ratio over the body.
+  /// First allocation for a caller that collects the whole payload. It
+  /// follows the body, never more than four times its size (most layers
+  /// deflate by less), so a member whose trailer lies costs what its body
+  /// does; the trailer's ISIZE and one byte past `max_output` (the byte
+  /// that proves the cap exceeded) only lower it. The caller grows the
+  /// buffer as bytes actually inflate.
   std::size_t size_hint() const noexcept;
 
  private:

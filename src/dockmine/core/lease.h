@@ -42,9 +42,10 @@ struct JobSpec {
   std::uint64_t seed = 20170530;
   bool light_calibration = true;  ///< light vs paper synth calibration
   int gzip_level = 1;
-  /// Threads of each pipeline stage (download, then analysis): 0 means
-  /// every core of the machine that runs the lease, resolved there by
-  /// lease_pipeline_options. Reports are byte-identical for every count.
+  /// Threads of each pipeline stage (materialize's gzip, download, then
+  /// analysis): 0 means every core of the machine that runs the lease,
+  /// resolved there by lease_pipeline_options. Registries and reports are
+  /// byte-identical for every count.
   std::size_t threads = 0;
   std::uint32_t shards = 4;       ///< sharded dedup store
   std::uint64_t spill_threshold_bytes = 64ull << 20;
@@ -60,7 +61,8 @@ util::Status check_job_spec(const JobSpec& spec);
 /// spilling and exporting its shard set into `export_dir`. `spec.threads`
 /// 0 resolves to std::thread::hardware_concurrency() (at least 1) of this
 /// machine; the resolved count sizes both download_workers and
-/// analyze_workers. Each stage builds its own pool from it: there is no
+/// analyze_workers, and through the latter materialize's gzip threads.
+/// Each stage builds its own pool from it: there is no
 /// process-wide pool, because dist_chaos_test and bench_distributed fork
 /// without exec, and a pool inherited across fork has no threads.
 PipelineOptions lease_pipeline_options(const JobSpec& spec,

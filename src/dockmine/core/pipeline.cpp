@@ -79,7 +79,8 @@ util::Result<PipelineResult> run_end_to_end(const PipelineOptions& options) {
                                    : owned_service;
   if (options.external_service == nullptr) {
     synth::HubModel hub(options.calibration, options.scale);
-    synth::Materializer materializer(hub, options.gzip_level);
+    synth::Materializer materializer(hub, options.gzip_level,
+                                     options.analyze_workers);
     const auto span = tracer.span("materialize");
     auto pushed = materializer.populate(service);
     if (!pushed.ok()) return std::move(pushed).error();

@@ -9,10 +9,12 @@
 // One execution path: download every verified layer blob in parallel
 // (`download_workers`), wait at a barrier, then analyze the unique layers
 // of the delivered manifests in parallel (`analyze_workers`); both default
-// to 0, every core. One worker per stage is the reference ordering. Every
-// worker count produces byte-identical canonical reports
-// (pipeline_report_json) under a fixed seed: the report is built from
-// order-independent aggregates only, never from completion order.
+// to 0, every core. `analyze_workers` also sizes the materializer's gzip
+// threads when the run builds its own registry. One worker per stage is
+// the reference ordering. Every worker count produces byte-identical
+// canonical reports (pipeline_report_json) under a fixed seed: the report
+// is built from order-independent aggregates only, never from completion
+// order.
 // DESIGN.md §9 records why the barrier stays.
 //
 // Used by the integration tests, the quickstart example, and
@@ -48,6 +50,7 @@ struct PipelineOptions {
   synth::Scale scale = synth::Scale::test();
   synth::Calibration calibration = synth::Calibration::paper();
   /// Threads of each stage; 0 = std::thread::hardware_concurrency().
+  /// analyze_workers also sizes materialize's gzip threads.
   std::size_t download_workers = 0;
   std::size_t analyze_workers = 0;
   int gzip_level = 6;

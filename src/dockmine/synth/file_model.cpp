@@ -264,7 +264,15 @@ double FileModel::gzip_ratio_of(ContentId id) const noexcept {
 }
 
 std::string FileModel::materialize(ContentId id) const {
-  if (id == kEmptyContentId) return {};
+  std::string out;
+  out.reserve(size_of(id));
+  materialize_into(id, out, {});
+  return out;
+}
+
+void FileModel::materialize_into(ContentId id, std::string& out,
+                                 const std::function<void()>& on_block) const {
+  if (id == kEmptyContentId) return;
   const filetype::Type type = type_of(id);
   const std::uint64_t size = size_of(id);
   std::uint64_t s = seed_ ^ (id * 0xc2b2ae3d27d4eb4fULL);
@@ -273,17 +281,18 @@ std::string FileModel::materialize(ContentId id) const {
   // magic + 16-hex-char uniquifier + compressibility-tuned filler. The
   // token keeps distinct ids byte-distinct even for tiny files and is
   // plain ASCII so it never breaks the text heuristics.
-  const std::string_view magic = filetype::magic_for(type);
-  std::string out(magic);
+  const std::size_t start = out.size();
+  out += filetype::magic_for(type);
   std::uint64_t token_seed = id ^ 0x5851f42d4c957f2dULL;
   const std::uint64_t token = util::splitmix64(token_seed);
   static constexpr char kHex[] = "0123456789abcdef";
   for (int nibble = 0; nibble < 16; ++nibble) {
     out += kHex[(token >> (4 * nibble)) & 0xf];
   }
-  if (out.size() > size) {
-    out.resize(size);  // unreachable given the size_of floor; safety net
-    return out;
+  const std::size_t head = out.size() - start;
+  if (head > size) {
+    out.resize(start + size);  // unreachable given the size_of floor; safety net
+    return;
   }
   // Text-typed contents must stay printable ASCII or the classifier would
   // call them binary.
@@ -294,9 +303,8 @@ std::string FileModel::materialize(ContentId id) const {
       type == filetype::Type::kUtf8Text || type == filetype::Type::kIso8859Text ||
       type == filetype::Type::kXmlHtml || type == filetype::Type::kLatex ||
       type == filetype::Type::kSvg;
-  out += compress::generate(static_cast<std::size_t>(size) - out.size(),
-                            gzip_ratio_of(id), rng, ascii_safe);
-  return out;
+  compress::generate_into(out, static_cast<std::size_t>(size) - head,
+                          gzip_ratio_of(id), rng, ascii_safe, on_block);
 }
 
 std::string FileModel::path_for(ContentId id, std::uint64_t instance_salt) const {

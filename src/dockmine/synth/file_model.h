@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,12 @@ class FileModel {
   /// same id -> same bytes, so duplicate instances really deduplicate by
   /// SHA-256.
   std::string materialize(ContentId id) const;
+
+  /// materialize()'s appending form: appends the same size_of(id) bytes to
+  /// `out`, calling `on_block` (if set) after each generated block of at
+  /// most 16 KiB, so a caller can drain `out` and never hold the file.
+  void materialize_into(ContentId id, std::string& out,
+                        const std::function<void()>& on_block) const;
 
   /// Tar path for an instance of this content. `instance_salt` varies the
   /// basename so two different files with identical content get distinct

@@ -9,6 +9,8 @@
 // paper's did: pull, gunzip, untar, profile.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -17,12 +19,20 @@
 #include "dockmine/synth/generator.h"
 #include "dockmine/util/error.h"
 
+namespace dockmine::tar {
+class Writer;
+}
+
 namespace dockmine::synth {
 
 class Materializer {
  public:
-  explicit Materializer(const HubModel& hub, int gzip_level = 6)
-      : hub_(hub), gzip_level_(gzip_level) {}
+  /// `threads` gzip threads build the layers populate() and
+  /// populate_versions() push; 0 means every core, like JobSpec::threads.
+  /// The registry they build does not depend on the count.
+  explicit Materializer(const HubModel& hub, int gzip_level = 6,
+                        std::size_t threads = 0)
+      : hub_(hub), gzip_level_(gzip_level), threads_(threads) {}
 
   /// Layer-id -> (blob digest, blob size) memo shared across pushes so each
   /// unique layer is gzipped exactly once. The temporal epoch driver keeps
@@ -34,42 +44,67 @@ class Materializer {
   /// Uncompressed tar bytes of one layer (deterministic).
   std::string layer_tar(const LayerSpec& spec) const;
 
-  /// Complete gzip blob of one layer.
+  /// Complete gzip blob of one layer: gzip_compress(layer_tar(spec)), built
+  /// the way populate() builds it, without holding the tar.
   util::Result<std::string> layer_blob(const LayerSpec& spec) const;
 
   /// Push every repository, manifest, config, and unique layer blob of the
-  /// snapshot into `service`. Returns the number of manifests pushed.
+  /// snapshot into `service`. Returns the number of manifests pushed. The
+  /// calling thread pushes in repository order, each image's new layers in
+  /// first-use order, then its config, then its manifest; the layers are
+  /// gzipped ahead of it on the gzip threads, which are joined before this
+  /// returns (on error too).
   util::Result<std::uint64_t> populate(registry::Service& service) const;
 
   /// Push a full version history (see synth/versions.h): every tag chain
   /// becomes pullable ("repo:v1", ..., "repo:latest"). Layers shared with
   /// `latest` are reused; churned layers are materialized fresh. Returns
-  /// manifests pushed.
+  /// manifests pushed. Gzips on the gzip threads, as populate() does.
   util::Result<std::uint64_t> populate_versions(
       registry::Service& service, const class VersionModel& versions) const;
 
   /// Push one image under `repository:tag`, materializing any layer id not
-  /// yet in `blob_cache` and reusing cached digests for the rest. Pushing
-  /// an existing tag repoints it — exactly how a re-push moves `latest`.
-  /// This is the temporal epoch driver's surface (dockmine::temporal);
-  /// populate/populate_versions are built on the same call.
+  /// yet in `blob_cache` (on the calling thread) and reusing cached digests
+  /// for the rest. Pushing an existing tag repoints it — exactly how a
+  /// re-push moves `latest`. dockmine::temporal's EvolvingRegistry pushes
+  /// every epoch through it.
   util::Result<std::uint64_t> push_tagged_image(registry::Service& service,
                                                 const std::string& repository,
                                                 const std::string& tag,
                                                 const ImageSpec& image,
-                                                BlobCache& blob_cache) const {
-    return push_image(service, repository, tag, image, blob_cache);
-  }
+                                                BlobCache& blob_cache) const;
 
  private:
+  /// A layer's gzip blob and its digest.
+  struct Blob {
+    digest::Digest digest;
+    std::string bytes;
+  };
+  struct Builder;      // one gzip thread's reused working memory
+  class InOrderBlobs;  // the gzip threads and their in-order window
+  /// The blob of a layer the push loop meets for the first time.
+  using NextBlob = std::function<util::Result<Blob>(LayerId)>;
+
+  /// Every entry of `spec`'s tar, written to `writer`; `on_piece` runs after
+  /// each entry and each block of file content, so it may drain the writer.
+  void write_tar(const LayerSpec& spec, tar::Writer& writer,
+                 const std::function<void()>& on_piece) const;
+
+  /// `spec`'s blob, built in `builder`'s memory; allocates only the blob.
+  util::Result<Blob> build_blob(const LayerSpec& spec, Builder& builder) const;
+
+  /// Push one image: each layer not in `blob_cache` with the blob
+  /// `next_blob` gives, then the config, then the manifest.
   util::Result<std::uint64_t> push_image(registry::Service& service,
                                          const std::string& repository,
                                          const std::string& tag,
                                          const ImageSpec& image,
-                                         BlobCache& blob_cache) const;
+                                         BlobCache& blob_cache,
+                                         const NextBlob& next_blob) const;
 
   const HubModel& hub_;
   int gzip_level_;
+  std::size_t threads_;
 };
 
 }  // namespace dockmine::synth

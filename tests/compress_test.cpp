@@ -251,6 +251,34 @@ TEST(GzipTest, OutputCapHoldsWhateverTheTrailerClaims) {
             util::ErrorCode::kOutOfRange);
 }
 
+TEST(GzipTest, TruncatedMemberWithAHugeIsizeAllocatesWhatItInflates) {
+  // A member cut to ~350 KB whose last 8 bytes claim a 4 GiB payload: the
+  // buffer follows the body and the bytes inflated, not the trailer.
+  const std::string whole = gzip_compress(layer_like(1 << 20)).value();
+  ASSERT_GT(whole.size(), 300u * 1024);
+  const std::string member =
+      with_isize(whole.substr(0, whole.size() - 1000), 0xFFFFFFFFu);
+  std::uint64_t inflated = 0;
+  {
+    GzipReader reader(member, 1ULL << 34);
+    std::string window(64 * 1024, '\0');
+    for (;;) {
+      auto got = reader.read(window.data(), window.size());
+      if (!got.ok() || got.value() == 0) break;
+      inflated += got.value();
+    }
+  }
+  g_largest_new.store(0);
+  auto back = gzip_decompress(member);
+  const std::size_t largest = g_largest_new.load();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), util::ErrorCode::kCorrupt);
+  EXPECT_EQ(back.error().message(), "truncated deflate stream");
+  EXPECT_LE(largest, 2 * inflated + (1u << 20))
+      << "inflated " << inflated << " bytes of a " << member.size()
+      << "-byte member";
+}
+
 TEST(GzipTest, TruncatedBodyWithIntactTrailerIsCorrupt) {
   const std::string raw = layer_like(256 * 1024);
   const std::string member = gzip_compress(raw).value();
@@ -277,6 +305,56 @@ TEST(GzipTest, ProbeParsesOptionalHeaderFields) {
   EXPECT_EQ(info.value().header_size, 20u);
   // And the full decompress still works with the shifted header.
   EXPECT_EQ(gzip_decompress(with_name).value(), "payload");
+}
+
+// ---------- incremental gzip ----------
+
+/// The member `writer` builds from `raw` fed in pieces of 1..max_piece bytes.
+std::string member_in_pieces(GzipWriter& writer, std::string_view raw,
+                             std::size_t max_piece, util::Rng& rng) {
+  std::string member;
+  writer.begin(member);
+  for (std::size_t at = 0; at < raw.size();) {
+    const std::size_t take =
+        std::min<std::size_t>(raw.size() - at, 1 + rng.uniform(max_piece));
+    writer.write(raw.substr(at, take));
+    at += take;
+  }
+  EXPECT_TRUE(writer.finish().ok());
+  return member;
+}
+
+TEST(GzipWriterTest, AnyPieceSizeGivesTheSameMember) {
+  util::Rng rng(0x6E71);
+  std::string incompressible;
+  append_random(incompressible, 96 * 1024, rng);
+  const std::string inputs[] = {std::string(), incompressible,
+                                std::string(160 * 1024, '\0'),
+                                layer_like(128 * 1024)};
+  for (const int level : {1, 6, 9}) {
+    // One writer per level, reused for every member: begin() resets it.
+    GzipWriter writer(level);
+    for (const std::string& raw : inputs) {
+      const std::string whole = gzip_compress(raw, level).value();
+      for (const std::size_t max_piece : {1, 3, 511, 4096}) {
+        EXPECT_EQ(member_in_pieces(writer, raw, max_piece, rng), whole)
+            << "level " << level << ", " << raw.size()
+            << " bytes, pieces of 1.." << max_piece;
+      }
+    }
+  }
+}
+
+TEST(GzipWriterTest, InvalidLevelFailsAtFinish) {
+  for (const int level : {0, 10}) {
+    GzipWriter writer(level);
+    std::string member;
+    writer.begin(member);
+    writer.write("payload");
+    const util::Status done = writer.finish();
+    ASSERT_FALSE(done.ok()) << level;
+    EXPECT_EQ(done.error().code(), util::ErrorCode::kInvalidArgument);
+  }
 }
 
 // ---------- content generator ----------

@@ -1,18 +1,71 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <unordered_set>
 
+#include "dockmine/compress/gzip.h"
+#include "dockmine/digest/sha256.h"
 #include "dockmine/filetype/classifier.h"
 #include "dockmine/synth/generator.h"
 #include "dockmine/synth/materialize.h"
 #include "dockmine/synth/popularity.h"
 
+// Sanitizer shadow memory and quarantine make RSS meaningless.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DOCKMINE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DOCKMINE_TEST_SANITIZED 1
+#endif
+#endif
+
 namespace dockmine::synth {
 namespace {
 
 Scale tiny() { return Scale{200, 99}; }
+
+/// A field of /proc/self/status in kB ("VmHWM:", "VmRSS:"); 0 if absent.
+std::uint64_t status_kb(std::string_view field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field, 0) == 0) {
+      return std::stoull(line.substr(field.size()));
+    }
+  }
+  return 0;
+}
+
+// First in this file, so it runs first in the suite's process: VmHWM only
+// shows growth above the process's earlier peak.
+TEST(MaterializerTest, PopulateHoldsLittleBeyondTheBlobsItPushes) {
+  const HubModel hub(Calibration::light(), Scale{300, 20170530});
+  registry::Service service;
+  const Materializer materializer(hub, /*gzip_level=*/1, /*threads=*/4);
+  const std::uint64_t rss_before_kb = status_kb("VmRSS:");
+  const std::uint64_t hwm_before_kb = status_kb("VmHWM:");
+  auto pushed = materializer.populate(service);
+  const std::uint64_t hwm_after_kb = status_kb("VmHWM:");
+  ASSERT_TRUE(pushed.ok()) << pushed.error().to_string();
+  const std::uint64_t logical_kb = service.blob_stats().logical_bytes >> 10;
+
+#ifndef DOCKMINE_TEST_SANITIZED
+  // The registry keeps every blob it was pushed; the gzip threads' buffers,
+  // the window's work-ahead and allocator slack must fit in 16 MiB on top.
+  ASSERT_GT(hwm_after_kb, 0u) << "no VmHWM in /proc/self/status";
+  EXPECT_LT(hwm_after_kb - std::min(rss_before_kb, hwm_after_kb),
+            logical_kb + (16u << 10))
+      << "VmRSS before " << rss_before_kb << " kB, VmHWM " << hwm_before_kb
+      << " -> " << hwm_after_kb << " kB, blobs " << logical_kb << " kB";
+#else
+  (void)rss_before_kb;
+  (void)hwm_before_kb;
+  (void)hwm_after_kb;
+  (void)logical_kb;
+#endif
+}
 
 // ---------- FileModel ----------
 
@@ -331,6 +384,50 @@ TEST(MaterializerTest, LayerBlobIsValidGzipTar) {
   auto again = materializer.layer_blob(spec);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(blob.value(), again.value());
+  // Streamed through deflate, the blob is the whole tar gzipped at once,
+  // and the bytes the whole-tar materializer produced.
+  EXPECT_EQ(blob.value(),
+            compress::gzip_compress(materializer.layer_tar(spec)).value());
+  EXPECT_EQ(digest::Digest::of(blob.value()).to_string(),
+            "sha256:d11dd4367d4abae09dba4cd0b596ba8fd97c2e0dc4408ffe7135ab25845011b5");
+}
+
+TEST(MaterializerTest, PopulateIsByteIdenticalAtEveryThreadCount) {
+  const HubModel hub(Calibration::light(), Scale{30, 123});
+  for (const std::size_t threads : {1, 2, 4, 0}) {
+    registry::Service service;
+    auto pushed = Materializer(hub, /*gzip_level=*/1, threads).populate(service);
+    ASSERT_TRUE(pushed.ok()) << pushed.error().to_string();
+    EXPECT_EQ(pushed.value(), 23u) << threads;
+    // Every manifest in hub order names every layer digest and size.
+    digest::Sha256 manifests;
+    for (const RepoSpec& repo : hub.repositories()) {
+      if (repo.image_index < 0) continue;
+      auto body = service.get_manifest(repo.name, "latest",
+                                       /*authenticated=*/true);
+      ASSERT_TRUE(body.ok()) << repo.name;
+      manifests.update(body.value());
+    }
+    // The bytes the one-thread, whole-tar materializer pushed.
+    EXPECT_EQ(digest::Digest(manifests.finish()).to_string(),
+              "sha256:71a32c1b6285adba80e9cbb452a92c071a940f31c140f9c6eeea19679cc1e478")
+        << threads;
+    const blob::StoreStats stats = service.blob_stats();
+    EXPECT_EQ(stats.puts, 212u) << threads;
+    EXPECT_EQ(stats.unique_blobs, 212u) << threads;
+    EXPECT_EQ(stats.logical_bytes, 10089515u) << threads;
+  }
+}
+
+TEST(MaterializerTest, PopulateFailsCleanlyWhenABlobCannotBeBuilt) {
+  // Gzip level 0 fails every blob: the first failure ends populate and
+  // every gzip thread is joined before it returns.
+  const HubModel hub(Calibration::light(), Scale{20, 3});
+  registry::Service service;
+  auto pushed = Materializer(hub, /*gzip_level=*/0, /*threads=*/4).populate(service);
+  ASSERT_FALSE(pushed.ok());
+  EXPECT_EQ(pushed.error().code(), util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(service.blob_stats().puts, 0u);
 }
 
 TEST(MaterializerTest, PopulatePushesEveryTaggedImage) {

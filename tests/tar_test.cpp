@@ -109,6 +109,48 @@ TEST(TarWriterTest, LongNamesUseGnuExtension) {
   EXPECT_EQ(entries[0].content, "x");
 }
 
+TEST(TarWriterTest, StreamedEntryMatchesAddFile) {
+  std::string long_path = "opt";
+  while (long_path.size() < 120) long_path += "/nested";
+  long_path += "/data.bin";
+  for (const std::string& path : {std::string("etc/app.conf"), long_path}) {
+    for (const std::size_t size : {0, 1, 511, 512, 513}) {
+      std::string content(size, '\0');
+      for (std::size_t i = 0; i < size; ++i) {
+        content[i] = static_cast<char>('a' + i % 23);
+      }
+      Writer whole;
+      whole.add_directory("etc");
+      whole.add_file(path, content);
+      whole.add_file("after", "tail");
+      const std::string expected = whole.finish();
+
+      // The same archive with the content streamed in 7-byte pieces and
+      // drained after every piece.
+      Writer streamed;
+      std::string archive;
+      const auto sink = [&](std::string_view piece) { archive += piece; };
+      streamed.add_directory("etc");
+      streamed.drain(sink);
+      streamed.begin_file(path, size);
+      for (std::size_t at = 0; at < size; at += 7) {
+        streamed.pending().append(content, at, 7);
+        streamed.drain(sink);
+      }
+      streamed.end_file();
+      streamed.add_file("after", "tail");
+      EXPECT_EQ(streamed.size_so_far(), expected.size() - 2 * kBlockSize);
+      archive += streamed.finish();
+      EXPECT_EQ(archive, expected) << path << ", " << size << " bytes";
+
+      const auto entries = read_all(archive);
+      ASSERT_EQ(entries.size(), 3u);
+      EXPECT_EQ(entries[1].header.name, path);
+      EXPECT_EQ(entries[1].content, content);
+    }
+  }
+}
+
 TEST(TarWriterTest, VeryLongNameBeyond255) {
   std::string long_path(400, 'a');
   long_path.insert(200, "/");

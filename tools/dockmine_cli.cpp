@@ -149,7 +149,10 @@ int cmd_serve_registry(const Flags& flags) {
   if (flags.str("repos").empty()) scale.repositories = 200;
   synth::HubModel hub(calibration_from(flags), scale);
   registry::Service service;
-  synth::Materializer materializer(hub, static_cast<int>(flags.u64("gzip", 1)));
+  // Gzip on every core: this verb refuses --workers (the gateway serves
+  // each connection on its own thread), so no flag sizes the gzip threads.
+  synth::Materializer materializer(hub, static_cast<int>(flags.u64("gzip", 1)),
+                                   /*threads=*/0);
   auto pushed = materializer.populate(service);
   if (!pushed.ok()) {
     std::cerr << pushed.error().to_string() << "\n";

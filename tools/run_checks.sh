@@ -28,7 +28,7 @@ echo "== [1/3] tier-1 suite (default build) =="
 configure_and_build "${build_root}/default"
 ctest --test-dir "${build_root}/default" -L tier1 --output-on-failure -j "${jobs}"
 
-echo "== [2/3] TSan: pipeline + resilience + obs suites =="
+echo "== [2/3] TSan: pipeline + resilience + obs + materialize suites =="
 configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/worker_equivalence_test"
 "${build_root}/tsan/tests/stream_chaos_test"
@@ -43,6 +43,7 @@ configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/serve_chaos_test"
 "${build_root}/tsan/tests/timeseries_test"
 "${build_root}/tsan/tests/temporal_test"
+"${build_root}/tsan/tests/synth_test"
 # The sharded-dedup suites under maximum spill churn.
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_test"
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_pipeline_test"
