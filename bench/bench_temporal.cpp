@@ -76,26 +76,14 @@ int main(int argc, char** argv) {
   for (std::uint32_t epoch = 0; epoch <= epochs; ++epoch) {
     // Incremental side: registry advance is the workload, apply_epoch is
     // what we time (both sides time analysis only).
-    std::vector<std::string> churned;
-    if (epoch == 0) {
-      auto pushed = evolving.initialize(service);
-      if (!pushed.ok()) {
-        std::fprintf(stderr, "initialize failed: %s\n",
-                     pushed.error().to_string().c_str());
-        return 1;
-      }
-      churned.reserve(hub.repositories().size());
-      for (const auto& repo : hub.repositories()) churned.push_back(repo.name);
-    } else {
-      auto pushed = evolving.advance(service);
-      if (!pushed.ok()) {
-        std::fprintf(stderr, "advance failed: %s\n",
-                     pushed.error().to_string().c_str());
-        return 1;
-      }
-      churned = std::move(pushed.value().repushed);
+    auto pushed = evolving.advance(service);
+    if (!pushed.ok()) {
+      std::fprintf(stderr, "advance failed: %s\n",
+                   pushed.error().to_string().c_str());
+      return 1;
     }
-    auto delta = analyzer.apply_epoch(service, epoch, churned);
+    auto delta = analyzer.apply_epoch(service, pushed.value().epoch,
+                                      pushed.value().repushed);
     if (!delta.ok()) {
       std::fprintf(stderr, "apply_epoch(%u) failed: %s\n", epoch,
                    delta.error().to_string().c_str());

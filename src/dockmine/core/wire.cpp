@@ -85,7 +85,7 @@ util::Result<bool> FrameBuffer::poll(Frame& out) {
     return util::corrupt("wire: nonzero flags/reserved bits");
   }
   const std::uint32_t length = get_u32(header + 8);
-  if (length > kMaxFramePayload) {
+  if (length > http::kMaxPayload) {
     corrupt_ = true;
     return util::corrupt("wire: frame payload over limit");
   }

@@ -7,7 +7,7 @@
 //     [ 4]      kind: 1 = JSON control message, 2 = binary file chunk
 //     [ 5]      flags (must be zero)
 //     [ 6.. 8)  reserved (must be zero)
-//     [ 8..12)  payload length, u32 (<= kMaxFramePayload)
+//     [ 8..12)  payload length, u32 (<= http::kMaxPayload)
 //     [12..16)  CRC-32 (IEEE) over the payload, u32
 //   payload
 //
@@ -53,7 +53,6 @@ namespace dockmine::core::wire {
 
 inline constexpr std::string_view kFrameMagic = "DMWF";
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-inline constexpr std::size_t kMaxFramePayload = 256ull << 20;
 
 enum class FrameKind : std::uint8_t { kJson = 1, kBinary = 2 };
 

@@ -49,6 +49,32 @@ struct DownloaderMetrics {
 
 }  // namespace
 
+void count_failure(const util::Error& error, DownloadStats& stats) {
+  switch (error.code()) {
+    case util::ErrorCode::kUnauthorized:
+      ++stats.failed_auth;
+      break;
+    case util::ErrorCode::kNotFound:
+      // Distinguish unknown repo from missing tag by the message the
+      // service produced.
+      if (error.message().find("has no tag") != std::string::npos) {
+        ++stats.failed_no_tag;
+      } else {
+        ++stats.failed_missing;
+      }
+      break;
+    case util::ErrorCode::kCorrupt:
+      if (error.message().find("digest mismatch") != std::string::npos) {
+        ++stats.failed_digest;
+      } else {
+        ++stats.failed_other;
+      }
+      break;
+    default:
+      ++stats.failed_other;
+  }
+}
+
 util::Result<blob::BlobPtr> Downloader::acquire_layer(
     const digest::Digest& digest) {
   DownloaderMetrics& metrics = DownloaderMetrics::get();
@@ -218,34 +244,8 @@ DownloadStats Downloader::run(
     }
     std::lock_guard lock(stats_mutex);
     if (!image.ok()) {
-      // Each attempted repository lands in exactly one failure bucket —
-      // transient errors retried (below us) into success never show here.
-      const util::Error& error = image.error();
-      switch (error.code()) {
-        case util::ErrorCode::kUnauthorized:
-          ++stats.failed_auth;
-          break;
-        case util::ErrorCode::kNotFound: {
-          // Distinguish unknown repo from missing tag by the message the
-          // service produced.
-          if (error.message().find("has no tag") != std::string::npos) {
-            ++stats.failed_no_tag;
-          } else {
-            ++stats.failed_missing;
-          }
-          break;
-        }
-        case util::ErrorCode::kCorrupt: {
-          if (error.message().find("digest mismatch") != std::string::npos) {
-            ++stats.failed_digest;
-          } else {
-            ++stats.failed_other;
-          }
-          break;
-        }
-        default:
-          ++stats.failed_other;
-      }
+      // Transient errors retried (below us) into success never show here.
+      count_failure(image.error(), stats);
       return;
     }
     if (resumed) {

@@ -89,6 +89,10 @@ struct DownloadStats {
   }
 };
 
+/// Count a repository that failed with `error` in exactly one failure
+/// bucket of `stats`.
+void count_failure(const util::Error& error, DownloadStats& stats);
+
 class Downloader {
  public:
   /// Works against any registry source: the in-process Service, a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 
 namespace dockmine::http {
 
@@ -125,7 +126,8 @@ Response Response::make(int status, std::string body,
 }
 
 util::Result<bool> MessageReader::split_head(std::string& head,
-                                             std::string& body) {
+                                             std::string& body,
+                                             std::size_t max_body) {
   const std::size_t end = buffer_.find("\r\n\r\n");
   if (end == std::string::npos) {
     if (buffer_.size() > 64 * 1024) {
@@ -152,6 +154,13 @@ util::Result<bool> MessageReader::split_head(std::string& head,
       return util::corrupt("bad Content-Length");
     }
   }
+  // Before any body is buffered; the second bound keeps `total` from
+  // wrapping.
+  if (content_length > max_body ||
+      content_length > std::numeric_limits<std::size_t>::max() - end - 4) {
+    return util::corrupt("http body of " + std::string(length) +
+                         " bytes exceeds the limit");
+  }
 
   const std::size_t total = end + 4 + content_length;
   if (buffer_.size() < total) return false;  // body still in flight
@@ -163,7 +172,7 @@ util::Result<bool> MessageReader::split_head(std::string& head,
 
 util::Result<bool> MessageReader::next_request(Request& out) {
   std::string head, body;
-  auto ready = split_head(head, body);
+  auto ready = split_head(head, body, kMaxPayload);
   if (!ready.ok() || !ready.value()) return ready;
 
   const std::string_view head_view = head;
@@ -189,7 +198,7 @@ util::Result<bool> MessageReader::next_request(Request& out) {
 
 util::Result<bool> MessageReader::next_response(Response& out) {
   std::string head, body;
-  auto ready = split_head(head, body);
+  auto ready = split_head(head, body, std::numeric_limits<std::size_t>::max());
   if (!ready.ok() || !ready.value()) return ready;
 
   const std::string_view head_view = head;

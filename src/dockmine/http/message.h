@@ -6,6 +6,7 @@
 // enough to serve and consume the Registry V2 surface over real sockets.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -17,6 +18,10 @@
 namespace dockmine::http {
 
 using Headers = std::vector<std::pair<std::string, std::string>>;
+
+/// The largest request body, and DMWF frame payload (core/wire.h), a server
+/// buffers: a longer declared length is rejected before any of it is read.
+inline constexpr std::size_t kMaxPayload = 256ull << 20;
 
 /// Case-insensitive header lookup; empty view when absent.
 std::string_view find_header(const Headers& headers, std::string_view name);
@@ -57,14 +62,16 @@ class MessageReader {
 
   /// Try to extract one complete request. Returns kOk-empty optional
   /// pattern via Result: value present => a message was consumed.
-  /// kCorrupt on malformed head.
+  /// kCorrupt on a malformed head, and on a request head that declares a
+  /// body over kMaxPayload. A response body (a blob pull) has no cap.
   util::Result<bool> next_request(Request& out);
   util::Result<bool> next_response(Response& out);
 
   std::size_t buffered() const noexcept { return buffer_.size(); }
 
  private:
-  util::Result<bool> split_head(std::string& head, std::string& body);
+  util::Result<bool> split_head(std::string& head, std::string& body,
+                                std::size_t max_body);
 
   std::string buffer_;
 };

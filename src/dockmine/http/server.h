@@ -15,6 +15,8 @@
 //   * an accept error backs off exponentially (accept_backoff_ms up to 1 s)
 //     and is counted; only stop() ends the accept loop;
 //   * past kMaxConnections live connections, a new one is closed at once;
+//   * a request body or DMWF frame payload declared over kMaxPayload
+//     (256 MiB) ends the connection before any of it is buffered;
 //   * a finished connection gives back its fd at once and its thread at the
 //     next finisher's join, so at most one exited thread lingers;
 //   * no idle deadline, but a partial message older than slowloris_ms is

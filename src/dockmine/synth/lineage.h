@@ -15,6 +15,7 @@
 //   id 1                      -> the empty layer
 //   [62..63]=1, base<<12|lvl  -> base-stack layer
 //   [62..63]=2, img<<12|k     -> own (app) layer of image `img`
+//   [62..63]=3                -> a rebuilt app layer (synth/versions.h)
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,6 @@
 
 #include "dockmine/compress/gzip.h"
 #include "dockmine/json/json.h"
-#include "dockmine/synth/versions.h"
 #include "dockmine/tar/writer.h"
 
 namespace dockmine::synth {
@@ -41,12 +40,6 @@ constexpr std::uint64_t kEntryBound = 4 * tar::kBlockSize;
 /// calibration's multi-GB layers go past it; their members grow as they
 /// fill, on the gzip thread.
 constexpr std::uint64_t kMaxMemberReserve = 64ull << 20;
-
-LayerSpec spec_of(const HubModel& hub, LayerId id) {
-  const LayerKind kind =
-      (id >> 62) == 3 ? LayerKind::kApp : LineageModel::kind_of(id);
-  return hub.layers().make_spec(id, kind);
-}
 
 /// Directory skeleton honoring (dir_count, max_depth): a spine of nested
 /// directories reaching max_depth, remaining directories attached to spine
@@ -104,15 +97,18 @@ std::string unique_basename(std::string_view representative,
          std::string(base.substr(dot));
 }
 
-/// The specs of the layers `images` use, each once, in first-use order:
-/// the order the push loop meets them.
-std::vector<LayerSpec> first_use_specs(
-    const HubModel& hub, const std::vector<const ImageSpec*>& images) {
+/// The specs of the layers `images` use that `blob_cache` lacks, each once,
+/// in first-use order: the order the push loop meets them.
+std::vector<LayerSpec> new_layer_specs(
+    const HubModel& hub, const std::vector<TaggedImage>& images,
+    const Materializer::BlobCache& blob_cache) {
   std::unordered_set<LayerId> seen;
   std::vector<LayerSpec> specs;
-  for (const ImageSpec* image : images) {
-    for (const LayerId id : image->layers) {
-      if (seen.insert(id).second) specs.push_back(spec_of(hub, id));
+  for (const TaggedImage& tagged : images) {
+    for (const LayerId id : tagged.image.layers) {
+      if (!blob_cache.contains(id) && seen.insert(id).second) {
+        specs.push_back(hub.layer_spec(id));
+      }
     }
   }
   return specs;
@@ -308,64 +304,64 @@ util::Result<std::string> Materializer::layer_blob(const LayerSpec& spec) const 
   return std::move(blob.value().bytes);
 }
 
-util::Result<std::uint64_t> Materializer::push_image(
-    registry::Service& service, const std::string& repository,
-    const std::string& tag, const ImageSpec& image, BlobCache& blob_cache,
-    const NextBlob& next_blob) const {
-  registry::Manifest manifest;
-  manifest.repository = repository;
-  manifest.tag = tag;
+util::Result<std::uint64_t> Materializer::push(
+    registry::Service& service, const std::vector<TaggedImage>& images,
+    BlobCache& blob_cache) const {
+  InOrderBlobs blobs(*this, new_layer_specs(hub_, images, blob_cache),
+                     threads_);
+  for (const TaggedImage& tagged : images) {
+    registry::Manifest manifest;
+    manifest.repository = hub_.repositories()[tagged.image.repo_index].name;
+    manifest.tag = tagged.tag;
 
-  for (LayerId layer_id : image.layers) {
-    auto it = blob_cache.find(layer_id);
-    if (it == blob_cache.end()) {
-      auto blob = next_blob(layer_id);
-      if (!blob.ok()) return std::move(blob).error();
-      Blob& built = blob.value();
-      const std::uint64_t size = built.bytes.size();
-      auto pushed =
-          service.push_blob_with_digest(built.digest, std::move(built.bytes));
-      if (!pushed.ok()) return pushed.error();
-      it = blob_cache.emplace(layer_id, std::make_pair(built.digest, size))
-               .first;
+    for (const LayerId layer_id : tagged.image.layers) {
+      auto it = blob_cache.find(layer_id);
+      if (it == blob_cache.end()) {
+        auto blob = blobs.next(layer_id);
+        if (!blob.ok()) return std::move(blob).error();
+        Blob& built = blob.value();
+        const std::uint64_t size = built.bytes.size();
+        auto pushed =
+            service.push_blob_with_digest(built.digest, std::move(built.bytes));
+        if (!pushed.ok()) return pushed.error();
+        it = blob_cache.emplace(layer_id, std::make_pair(built.digest, size))
+                 .first;
+      }
+      manifest.layers.push_back(
+          registry::LayerRef{it->second.first, it->second.second});
     }
-    manifest.layers.push_back(
-        registry::LayerRef{it->second.first, it->second.second});
-  }
 
-  // Config blob: platform plus diff ids, like a real image config.
-  json::Value config = json::Value::object();
-  config.set("architecture", manifest.architecture);
-  config.set("os", manifest.os);
-  json::Value diff_ids = json::Value::array();
-  for (const auto& layer : manifest.layers) {
-    diff_ids.push_back(layer.digest.to_string());
-  }
-  json::Value rootfs = json::Value::object();
-  rootfs.set("type", "layers");
-  rootfs.set("diff_ids", std::move(diff_ids));
-  config.set("rootfs", std::move(rootfs));
-  std::string config_body = config.dump();
-  manifest.config_size = config_body.size();
-  manifest.config_digest = service.push_blob(std::move(config_body));
+    // Config blob: platform plus diff ids, like a real image config.
+    json::Value config = json::Value::object();
+    config.set("architecture", manifest.architecture);
+    config.set("os", manifest.os);
+    json::Value diff_ids = json::Value::array();
+    for (const auto& layer : manifest.layers) {
+      diff_ids.push_back(layer.digest.to_string());
+    }
+    json::Value rootfs = json::Value::object();
+    rootfs.set("type", "layers");
+    rootfs.set("diff_ids", std::move(diff_ids));
+    config.set("rootfs", std::move(rootfs));
+    std::string config_body = config.dump();
+    manifest.config_size = config_body.size();
+    manifest.config_digest = service.push_blob(std::move(config_body));
 
-  auto pushed = service.push_manifest(manifest);
-  if (!pushed.ok()) return std::move(pushed).error();
-  return std::uint64_t{1};
+    auto pushed = service.push_manifest(manifest);
+    if (!pushed.ok()) return std::move(pushed).error();
+  }
+  return std::uint64_t{images.size()};
 }
 
 util::Result<std::uint64_t> Materializer::populate(
     registry::Service& service) const {
-  std::vector<const ImageSpec*> images;
-  for (const RepoSpec& repo : hub_.repositories()) {
-    if (repo.image_index < 0) continue;
-    images.push_back(&hub_.images()[static_cast<std::size_t>(repo.image_index)]);
-  }
-  InOrderBlobs blobs(*this, first_use_specs(hub_, images), threads_);
-  const NextBlob next_blob = [&](LayerId id) { return blobs.next(id); };
-
   BlobCache blob_cache;
-  std::uint64_t manifests = 0;
+  return populate(service, blob_cache);
+}
+
+util::Result<std::uint64_t> Materializer::populate(
+    registry::Service& service, BlobCache& blob_cache) const {
+  std::vector<TaggedImage> latest;
   for (const RepoSpec& repo : hub_.repositories()) {
     registry::Repository entry;
     entry.name = repo.name;
@@ -374,52 +370,22 @@ util::Result<std::uint64_t> Materializer::populate(
     entry.pull_count = repo.pull_count;
     service.put_repository(std::move(entry));
     if (repo.image_index < 0) continue;
-
-    const ImageSpec& image =
-        hub_.images()[static_cast<std::size_t>(repo.image_index)];
-    auto pushed = push_image(service, repo.name, "latest", image, blob_cache,
-                             next_blob);
-    if (!pushed.ok()) return pushed;
-    ++manifests;
+    latest.push_back(TaggedImage{
+        "latest", hub_.images()[static_cast<std::size_t>(repo.image_index)]});
   }
-  return manifests;
+  return push(service, latest, blob_cache);
 }
 
 util::Result<std::uint64_t> Materializer::populate_versions(
     registry::Service& service, const VersionModel& versions) const {
-  std::vector<std::vector<TaggedImage>> tagged(hub_.repositories().size());
-  std::vector<const ImageSpec*> images;
-  for (std::size_t i = 0; i < tagged.size(); ++i) {
-    tagged[i] = versions.versions_for(i);
-    for (const TaggedImage& version : tagged[i]) images.push_back(&version.image);
-  }
-  InOrderBlobs blobs(*this, first_use_specs(hub_, images), threads_);
-  const NextBlob next_blob = [&](LayerId id) { return blobs.next(id); };
-
-  BlobCache blob_cache;
-  std::uint64_t manifests = 0;
-  for (std::size_t i = 0; i < tagged.size(); ++i) {
-    for (const TaggedImage& version : tagged[i]) {
-      auto pushed = push_image(service, hub_.repositories()[i].name,
-                               version.tag, version.image, blob_cache,
-                               next_blob);
-      if (!pushed.ok()) return pushed;
-      ++manifests;
+  std::vector<TaggedImage> images;
+  for (std::size_t i = 0; i < hub_.repositories().size(); ++i) {
+    for (TaggedImage& version : versions.versions_for(i)) {
+      images.push_back(std::move(version));
     }
   }
-  return manifests;
-}
-
-util::Result<std::uint64_t> Materializer::push_tagged_image(
-    registry::Service& service, const std::string& repository,
-    const std::string& tag, const ImageSpec& image,
-    BlobCache& blob_cache) const {
-  std::optional<Builder> builder;
-  const NextBlob next_blob = [&](LayerId id) {
-    if (!builder) builder.emplace(gzip_level_, 0);
-    return build_blob(spec_of(hub_, id), *builder);
-  };
-  return push_image(service, repository, tag, image, blob_cache, next_blob);
+  BlobCache blob_cache;
+  return push(service, images, blob_cache);
 }
 
 }  // namespace dockmine::synth

@@ -14,9 +14,11 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "dockmine/registry/service.h"
 #include "dockmine/synth/generator.h"
+#include "dockmine/synth/versions.h"
 #include "dockmine/util/error.h"
 
 namespace dockmine::tar {
@@ -27,9 +29,9 @@ namespace dockmine::synth {
 
 class Materializer {
  public:
-  /// `threads` gzip threads build the layers populate() and
-  /// populate_versions() push; 0 means every core, like JobSpec::threads.
-  /// The registry they build does not depend on the count.
+  /// `threads` gzip threads build the layers push() pushes; 0 means every
+  /// core, like JobSpec::threads. The registry push() builds does not
+  /// depend on the count.
   explicit Materializer(const HubModel& hub, int gzip_level = 6,
                         std::size_t threads = 0)
       : hub_(hub), gzip_level_(gzip_level), threads_(threads) {}
@@ -45,34 +47,36 @@ class Materializer {
   std::string layer_tar(const LayerSpec& spec) const;
 
   /// Complete gzip blob of one layer: gzip_compress(layer_tar(spec)), built
-  /// the way populate() builds it, without holding the tar.
+  /// the way push() builds it, without holding the tar.
   util::Result<std::string> layer_blob(const LayerSpec& spec) const;
 
   /// Push every repository, manifest, config, and unique layer blob of the
-  /// snapshot into `service`. Returns the number of manifests pushed. The
-  /// calling thread pushes in repository order, each image's new layers in
-  /// first-use order, then its config, then its manifest; the layers are
-  /// gzipped ahead of it on the gzip threads, which are joined before this
-  /// returns (on error too).
+  /// snapshot into `service`: every repository entry first, then each
+  /// `latest` image in repository order, through push(). Returns the number
+  /// of manifests pushed. The second form leaves every pushed layer in
+  /// `blob_cache`.
   util::Result<std::uint64_t> populate(registry::Service& service) const;
+  util::Result<std::uint64_t> populate(registry::Service& service,
+                                       BlobCache& blob_cache) const;
 
   /// Push a full version history (see synth/versions.h): every tag chain
   /// becomes pullable ("repo:v1", ..., "repo:latest"). Layers shared with
   /// `latest` are reused; churned layers are materialized fresh. Returns
-  /// manifests pushed. Gzips on the gzip threads, as populate() does.
+  /// manifests pushed.
   util::Result<std::uint64_t> populate_versions(
-      registry::Service& service, const class VersionModel& versions) const;
+      registry::Service& service, const VersionModel& versions) const;
 
-  /// Push one image under `repository:tag`, materializing any layer id not
-  /// yet in `blob_cache` (on the calling thread) and reusing cached digests
-  /// for the rest. Pushing an existing tag repoints it — exactly how a
-  /// re-push moves `latest`. dockmine::temporal's EvolvingRegistry pushes
-  /// every epoch through it.
-  util::Result<std::uint64_t> push_tagged_image(registry::Service& service,
-                                                const std::string& repository,
-                                                const std::string& tag,
-                                                const ImageSpec& image,
-                                                BlobCache& blob_cache) const;
+  /// Push `images` in list order, each as
+  /// `hub.repositories()[image.repo_index].name:tag`: the calling thread
+  /// pushes each image's layers that `blob_cache` lacks in first-use order,
+  /// then its config, then its manifest, and adds those layers to
+  /// `blob_cache`. The layers are gzipped ahead of it on the gzip threads,
+  /// which are joined before this returns (on error too). Pushing an
+  /// existing tag repoints it, exactly how a re-push moves `latest`.
+  /// Returns the number of manifests pushed.
+  util::Result<std::uint64_t> push(registry::Service& service,
+                                   const std::vector<TaggedImage>& images,
+                                   BlobCache& blob_cache) const;
 
  private:
   /// A layer's gzip blob and its digest.
@@ -82,8 +86,6 @@ class Materializer {
   };
   struct Builder;      // one gzip thread's reused working memory
   class InOrderBlobs;  // the gzip threads and their in-order window
-  /// The blob of a layer the push loop meets for the first time.
-  using NextBlob = std::function<util::Result<Blob>(LayerId)>;
 
   /// Every entry of `spec`'s tar, written to `writer`; `on_piece` runs after
   /// each entry and each block of file content, so it may drain the writer.
@@ -92,15 +94,6 @@ class Materializer {
 
   /// `spec`'s blob, built in `builder`'s memory; allocates only the blob.
   util::Result<Blob> build_blob(const LayerSpec& spec, Builder& builder) const;
-
-  /// Push one image: each layer not in `blob_cache` with the blob
-  /// `next_blob` gives, then the config, then the manifest.
-  util::Result<std::uint64_t> push_image(registry::Service& service,
-                                         const std::string& repository,
-                                         const std::string& tag,
-                                         const ImageSpec& image,
-                                         BlobCache& blob_cache,
-                                         const NextBlob& next_blob) const;
 
   const HubModel& hub_;
   int gzip_level_;

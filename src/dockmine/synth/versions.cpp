@@ -58,12 +58,7 @@ VersionModel::Stats VersionModel::analyze() const {
         ++stats.logical_layer_refs;
         auto it = cls_of.find(id);
         if (it == cls_of.end()) {
-          // Versioned layers behave like app layers of their image.
-          const LayerKind kind = (id >> 62) == 3
-                                     ? LayerKind::kApp
-                                     : LineageModel::kind_of(id);
-          const LayerSpec spec = hub_.layers().make_spec(id, kind);
-          const LayerSizes sizes = hub_.layers().sizes(spec);
+          const LayerSizes sizes = hub_.layers().sizes(hub_.layer_spec(id));
           it = cls_of.emplace(id, sizes.cls).first;
           stats.physical_bytes += sizes.cls;
         }

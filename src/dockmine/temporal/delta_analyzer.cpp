@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "dockmine/analyzer/image_analyzer.h"
+#include "dockmine/downloader/downloader.h"
 #include "dockmine/obs/obs.h"
 #include "dockmine/registry/manifest.h"
 
@@ -99,20 +100,7 @@ util::Result<EpochDelta> DeltaAnalyzer::apply_epoch(
     ++download_.attempted;
     auto body = source.fetch_manifest(repo, "latest", /*authenticated=*/false);
     if (!body.ok()) {
-      switch (body.error().code()) {
-        case util::ErrorCode::kUnauthorized:
-          ++download_.failed_auth;
-          break;
-        case util::ErrorCode::kNotFound:
-          if (body.error().message().find("has no tag") != std::string::npos) {
-            ++download_.failed_no_tag;
-          } else {
-            ++download_.failed_missing;
-          }
-          break;
-        default:
-          ++download_.failed_other;
-      }
+      downloader::count_failure(body.error(), download_);
       ++delta.repos_failed;
       // Mirror the batch pipeline: an undeliverable repository is simply
       // absent from the report (and retired if it was resident before).

@@ -65,71 +65,43 @@ std::vector<std::string> EpochModel::churned_repositories(
   return churned;
 }
 
-util::Result<EvolvingRegistry::EpochPush> EvolvingRegistry::initialize(
-    registry::Service& service) {
-  if (initialized_) {
-    return util::Error(util::ErrorCode::kInvalidArgument,
-                       "evolving registry already initialized");
-  }
-  EpochPush push;
-  push.epoch = 0;
-  const synth::HubModel& hub = model_.hub();
-  for (std::size_t i = 0; i < hub.repositories().size(); ++i) {
-    const synth::RepoSpec& repo = hub.repositories()[i];
-    registry::Repository entry;
-    entry.name = repo.name;
-    entry.official = repo.official;
-    entry.requires_auth = repo.requires_auth;
-    entry.pull_count = repo.pull_count;
-    service.put_repository(std::move(entry));
-    if (repo.image_index < 0) continue;
-
-    const std::size_t before = blob_cache_.size();
-    const synth::ImageSpec image =
-        model_.image_at(static_cast<std::uint64_t>(repo.image_index), 0);
-    auto pushed = materializer_.push_tagged_image(service, repo.name, "latest",
-                                                 image, blob_cache_);
-    if (!pushed.ok()) return std::move(pushed).error();
-    push.manifests += pushed.value();
-    const std::size_t materialized = blob_cache_.size() - before;
-    push.layers_materialized += materialized;
-    push.layers_reused += image.layers.size() - materialized;
-  }
-  initialized_ = true;
-  return push;
-}
-
 util::Result<EvolvingRegistry::EpochPush> EvolvingRegistry::advance(
     registry::Service& service) {
-  if (!initialized_) {
-    return util::Error(util::ErrorCode::kInvalidArgument,
-                       "evolving registry not initialized");
-  }
-  if (epoch_ >= EpochModel::kMaxEpoch) {
+  if (epoch_ > EpochModel::kMaxEpoch) {
     return util::Error(util::ErrorCode::kOutOfRange, "epoch limit reached");
   }
   EpochPush push;
-  push.epoch = epoch_ + 1;
-  push.repushed = model_.churned_repositories(push.epoch);
+  push.epoch = epoch_;
   const synth::HubModel& hub = model_.hub();
-  for (const std::string& name : push.repushed) {
-    // Churned repositories come from the hub, so the lookup cannot miss.
-    auto repo = std::find_if(
-        hub.repositories().begin(), hub.repositories().end(),
-        [&](const synth::RepoSpec& r) { return r.name == name; });
-    const std::uint64_t image_index =
-        static_cast<std::uint64_t>(repo->image_index);
-    const synth::ImageSpec image = model_.image_at(image_index, push.epoch);
-    const std::size_t before = blob_cache_.size();
-    auto pushed = materializer_.push_tagged_image(service, name, "latest",
-                                                 image, blob_cache_);
-    if (!pushed.ok()) return std::move(pushed).error();
-    push.manifests += pushed.value();
-    const std::size_t materialized = blob_cache_.size() - before;
-    push.layers_materialized += materialized;
-    push.layers_reused += image.layers.size() - materialized;
+  std::vector<synth::TaggedImage> images;  // the churn set's; none at 0
+  std::uint64_t layers = 0;
+  if (push.epoch == 0) {
+    for (const synth::RepoSpec& repo : hub.repositories()) {
+      push.repushed.push_back(repo.name);
+    }
+    for (const synth::ImageSpec& image : hub.images()) {
+      layers += image.layers.size();
+    }
+  } else {
+    for (const synth::RepoSpec& repo : hub.repositories()) {
+      if (repo.image_index < 0) continue;
+      const auto image_index = static_cast<std::uint64_t>(repo.image_index);
+      if (!model_.repushed(image_index, push.epoch)) continue;
+      push.repushed.push_back(repo.name);
+      images.push_back(synth::TaggedImage{
+          "latest", model_.image_at(image_index, push.epoch)});
+      layers += images.back().image.layers.size();
+    }
   }
-  epoch_ = push.epoch;
+  const std::size_t cached = blob_cache_.size();
+  auto pushed = push.epoch == 0
+                    ? materializer_.populate(service, blob_cache_)
+                    : materializer_.push(service, images, blob_cache_);
+  if (!pushed.ok()) return std::move(pushed).error();
+  push.manifests = pushed.value();
+  push.layers_materialized = blob_cache_.size() - cached;
+  push.layers_reused = layers - push.layers_materialized;
+  epoch_ = push.epoch + 1;
   return push;
 }
 
@@ -137,10 +109,8 @@ util::Result<std::uint64_t> build_registry_at_epoch(
     const EpochModel& model, std::uint32_t epoch, int gzip_level,
     registry::Service& service) {
   EvolvingRegistry evolving(model, gzip_level);
-  auto init = evolving.initialize(service);
-  if (!init.ok()) return std::move(init).error();
-  std::uint64_t manifests = init.value().manifests;
-  for (std::uint32_t e = 1; e <= epoch; ++e) {
+  std::uint64_t manifests = 0;
+  for (std::uint32_t e = 0; e <= epoch; ++e) {
     auto push = evolving.advance(service);
     if (!push.ok()) return std::move(push).error();
     manifests += push.value().manifests;

@@ -84,8 +84,9 @@ class EpochModel {
   ChurnConfig config_;
 };
 
-/// Drives a registry::Service through epochs: epoch 0 populates the full
-/// snapshot; each advance() re-pushes the epoch's churn set. The blob cache
+/// Drives a registry::Service through epochs: the first advance() is epoch
+/// 0, which populates the full snapshot; each later one re-pushes the
+/// epoch's churn set. Every push gzips on every core. The blob cache
 /// persists across epochs, so unchanged layer ids keep their digests and
 /// only rebuilt layers are materialized. A re-push repoints `latest` (the
 /// tag move) and leaves the superseded manifest blob in the store — exactly
@@ -101,29 +102,24 @@ class EvolvingRegistry {
     std::uint64_t manifests = 0;            ///< manifests (re-)pushed
     std::uint64_t layers_materialized = 0;  ///< fresh gzip blobs built
     std::uint64_t layers_reused = 0;        ///< digests served from cache
-    std::vector<std::string> repushed;      ///< churn set, repository order
+    /// Churn set, repository order; at epoch 0, every hub repository.
+    std::vector<std::string> repushed;
   };
 
-  /// Epoch 0: push every repository and its `latest` image into `service`.
-  util::Result<EpochPush> initialize(registry::Service& service);
-
-  /// Advance `service` to the next epoch (requires initialize() first).
+  /// Push the next epoch into `service`: epoch 0 on the first call.
   util::Result<EpochPush> advance(registry::Service& service);
 
-  /// Epochs applied so far; 0 right after initialize().
-  std::uint32_t epoch() const noexcept { return epoch_; }
   const EpochModel& model() const noexcept { return model_; }
 
  private:
   const EpochModel& model_;
   synth::Materializer materializer_;
   synth::Materializer::BlobCache blob_cache_;
-  std::uint32_t epoch_ = 0;
-  bool initialized_ = false;
+  std::uint32_t epoch_ = 0;  ///< the epoch the next advance() pushes
 };
 
 /// Convenience for the batch oracle and bench: a fresh service advanced to
-/// `epoch` from scratch (initialize + `epoch` advances).
+/// `epoch` from scratch (`epoch` + 1 advances).
 util::Result<std::uint64_t> build_registry_at_epoch(
     const EpochModel& model, std::uint32_t epoch, int gzip_level,
     registry::Service& service);

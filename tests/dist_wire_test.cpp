@@ -17,10 +17,12 @@
 #include "dockmine/core/lease.h"
 #include "dockmine/core/wire.h"
 #include "dockmine/digest/digest.h"
+#include "dockmine/http/message.h"
 #include "dockmine/json/json.h"
 #include "dockmine/util/error.h"
 
 namespace wire = dockmine::core::wire;
+namespace http = dockmine::http;
 using dockmine::core::JobSpec;
 using dockmine::core::LeaseState;
 using dockmine::core::LeaseTable;
@@ -150,7 +152,7 @@ TEST(DistWire, CorruptionPoisonsTheStream) {
 
 TEST(DistWire, OversizedLengthIsCorrupt) {
   std::string encoded = wire::encode_frame(wire::FrameKind::kJson, "x");
-  const std::uint32_t huge = wire::kMaxFramePayload + 1;
+  const std::uint32_t huge = http::kMaxPayload + 1;
   encoded[8] = static_cast<char>(huge & 0xff);
   encoded[9] = static_cast<char>((huge >> 8) & 0xff);
   encoded[10] = static_cast<char>((huge >> 16) & 0xff);

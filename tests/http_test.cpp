@@ -96,6 +96,25 @@ TEST(HttpMessageTest, MalformedInputsRejected) {
     http::Response out;
     EXPECT_FALSE(reader.next_response(out).ok());
   }
+  {
+    // A body declared over kMaxPayload is refused at the head, however
+    // much of it has arrived, instead of being buffered.
+    http::MessageReader reader;
+    reader.feed("PUT / HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n");
+    reader.feed(std::string(1 << 20, 'x'));
+    http::Request out;
+    EXPECT_FALSE(reader.next_request(out).ok());
+  }
+  {
+    // A length that wraps the framing sum is refused too, instead of taking
+    // the next request as its body and mis-framing the stream.
+    http::MessageReader reader;
+    reader.feed(
+        "PUT / HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n"
+        "GET / HTTP/1.1\r\n\r\n");
+    http::Request out;
+    EXPECT_FALSE(reader.next_request(out).ok());
+  }
 }
 
 // ---------- server + client ----------
@@ -410,6 +429,28 @@ TEST_F(GatewayFixture, PartialRequestIsDroppedWithinTheDeadline) {
   registry::RemoteRegistry remote(strict.port());
   EXPECT_TRUE(remote.ping().ok());
   strict.stop();
+}
+
+// A client that declares a 1 GiB body is dropped at the head, without
+// waiting for the body, and a fresh client is still answered.
+TEST_F(GatewayFixture, OversizedDeclaredBodyIsDroppedAtTheHead) {
+  auto socket = http::Socket::connect_loopback(server->port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().set_timeout_ms(5000).ok());
+  ASSERT_TRUE(socket.value()
+                  .write_all("PUT /v2/ HTTP/1.1\r\n"
+                             "Content-Length: 1073741824\r\n\r\n")
+                  .ok());
+  auto chunk = socket.value().read_some();
+  if (chunk.ok()) {
+    EXPECT_TRUE(chunk.value().empty()) << "got an answer to the head";
+  } else {
+    EXPECT_EQ(chunk.error().code(), util::ErrorCode::kReset)
+        << chunk.error().to_string();
+  }
+
+  registry::RemoteRegistry remote(server->port());
+  EXPECT_TRUE(remote.ping().ok());
 }
 
 }  // namespace

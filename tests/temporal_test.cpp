@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -33,6 +34,8 @@
 
 #include "dockmine/core/pipeline.h"
 #include "dockmine/core/serve.h"
+#include "dockmine/digest/digest.h"
+#include "dockmine/digest/sha256.h"
 #include "dockmine/downloader/checkpoint.h"
 #include "dockmine/json/json.h"
 #include "dockmine/registry/service.h"
@@ -46,6 +49,7 @@ namespace serve = dockmine::core::serve;
 namespace synth = dockmine::synth;
 namespace temporal = dockmine::temporal;
 namespace registry = dockmine::registry;
+namespace digest = dockmine::digest;
 namespace downloader = dockmine::downloader;
 namespace json = dockmine::json;
 namespace util = dockmine::util;
@@ -83,22 +87,10 @@ struct Stack {
         evolving(model, kGzip),
         analyzer(std::move(options)) {}
 
-  std::vector<std::string> all_repositories() const {
-    std::vector<std::string> names;
-    names.reserve(hub.repositories().size());
-    for (const auto& repo : hub.repositories()) names.push_back(repo.name);
-    return names;
-  }
-
   util::Result<temporal::EpochDelta> advance() {
-    if (!analyzer.initialized()) {
-      auto pushed = evolving.initialize(service);
-      if (!pushed.ok()) return std::move(pushed).error();
-      return analyzer.apply_epoch(service, 0, all_repositories());
-    }
     auto pushed = evolving.advance(service);
     if (!pushed.ok()) return std::move(pushed).error();
-    return analyzer.apply_epoch(service, evolving.epoch(),
+    return analyzer.apply_epoch(service, pushed.value().epoch,
                                 pushed.value().repushed);
   }
 
@@ -201,7 +193,7 @@ TEST(EpochModel, RebuildsTouchOnlyTheTopOfStack) {
 
 TEST(EpochModel, EvolvingRegistryReusesUnchangedBlobs) {
   Stack stack(20170530);
-  auto init = stack.evolving.initialize(stack.service);
+  auto init = stack.evolving.advance(stack.service);
   ASSERT_TRUE(init.ok()) << init.error().to_string();
   // One manifest per repository that carries an image (repos without one
   // exist in the search index but push nothing).
@@ -222,6 +214,60 @@ TEST(EpochModel, EvolvingRegistryReusesUnchangedBlobs) {
     }
   }
   EXPECT_GT(repushed, 0u);
+}
+
+TEST(EpochModel, EvolvingRegistryBytesArePinnedAtEveryEpoch) {
+  // What the one-thread, image-by-image temporal driver pushed: the hash of
+  // every `latest` manifest in hub order, the blob store's stats and the
+  // push's counts after each epoch. Epoch 0 is populate's registry
+  // (synth_test's PopulateIsByteIdenticalAtEveryThreadCount).
+  struct Pin {
+    const char* manifests;
+    std::uint64_t puts, logical_bytes, pushed, materialized, reused;
+  };
+  const Pin pins[] = {
+      {"sha256:71a32c1b6285adba80e9cbb452a92c071a940f31c140f9c6eeea19679cc1e478",
+       212, 10089515, 23, 166, 79},
+      {"sha256:3eeb83ee9a38cbf2c43c7c688e92f8620a47b497926eb0c02276ff3af16ba0d5",
+       228, 10935283, 4, 8, 34},
+      {"sha256:f19c8cf6c08742727a474ddbfe09c6f556bb2431e68cc8e72285a9ac2dbcedbd",
+       236, 10963530, 2, 4, 41},
+      {"sha256:3a8053bea53e360c5b38d9a98de42349987aab3ce7c4950e0c914884cc086d29",
+       244, 11013489, 2, 4, 40},
+      {"sha256:8f9af5be0c9925eae0c3246116cc4a3b84f9ac3cb31b0793c976a35f5ec2aee2",
+       272, 11464690, 7, 14, 60},
+  };
+  synth::HubModel hub(synth::Calibration::light(), synth::Scale{30, 123});
+  temporal::EpochModel model(hub);
+  temporal::EvolvingRegistry evolving(model, kGzip);
+  registry::Service service;
+  for (std::uint32_t epoch = 0; epoch < std::size(pins); ++epoch) {
+    const Pin& pin = pins[epoch];
+    auto push = evolving.advance(service);
+    ASSERT_TRUE(push.ok()) << push.error().to_string();
+    EXPECT_EQ(push.value().epoch, epoch);
+    EXPECT_EQ(push.value().manifests, pin.pushed) << epoch;
+    EXPECT_EQ(push.value().layers_materialized, pin.materialized) << epoch;
+    EXPECT_EQ(push.value().layers_reused, pin.reused) << epoch;
+    EXPECT_EQ(push.value().repushed.size(),
+              epoch == 0 ? hub.repositories().size() : pin.pushed)
+        << epoch;
+
+    digest::Sha256 manifests;
+    for (const synth::RepoSpec& repo : hub.repositories()) {
+      if (repo.image_index < 0) continue;
+      auto body = service.get_manifest(repo.name, "latest",
+                                       /*authenticated=*/true);
+      ASSERT_TRUE(body.ok()) << repo.name;
+      manifests.update(body.value());
+    }
+    EXPECT_EQ(digest::Digest(manifests.finish()).to_string(), pin.manifests)
+        << epoch;
+    const auto stats = service.blob_stats();
+    EXPECT_EQ(stats.puts, pin.puts) << epoch;
+    EXPECT_EQ(stats.unique_blobs, pin.puts) << epoch;
+    EXPECT_EQ(stats.logical_bytes, pin.logical_bytes) << epoch;
+  }
 }
 
 // ---- 2. epoch equivalence ----------------------------------------------

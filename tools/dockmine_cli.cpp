@@ -605,8 +605,8 @@ int cmd_gc(const Flags& flags) {
 
 // The temporal stack shared by `serve --temporal` and `evolve`: one
 // evolving registry plus the incremental analyzer, advanced one epoch per
-// call. Everything is seeded, so replaying advance_to(0..K) after a restart
-// reproduces the exact resident state.
+// call, epoch 0 first. Everything is seeded, so replaying epochs 0..K after
+// a restart reproduces the exact resident state.
 struct TemporalStack {
   synth::HubModel hub;
   temporal::EpochModel model;
@@ -618,20 +618,11 @@ struct TemporalStack {
                 const synth::Scale& scale, int gzip_level)
       : hub(calibration, scale), model(hub), evolving(model, gzip_level) {}
 
-  util::Result<temporal::EpochDelta> advance_to(std::uint32_t epoch) {
-    if (epoch == 0) {
-      auto pushed = evolving.initialize(service);
-      if (!pushed.ok()) return std::move(pushed).error();
-      // Epoch 0 is the initial ingest: the churn set is every repository,
-      // exactly the universe the batch crawler would discover.
-      std::vector<std::string> all;
-      all.reserve(hub.repositories().size());
-      for (const auto& repo : hub.repositories()) all.push_back(repo.name);
-      return analyzer.apply_epoch(service, 0, all);
-    }
+  util::Result<temporal::EpochDelta> advance() {
     auto pushed = evolving.advance(service);
     if (!pushed.ok()) return std::move(pushed).error();
-    return analyzer.apply_epoch(service, epoch, pushed.value().repushed);
+    return analyzer.apply_epoch(service, pushed.value().epoch,
+                                pushed.value().repushed);
   }
 };
 
@@ -647,7 +638,7 @@ int cmd_evolve(const Flags& flags) {
   TemporalStack stack(calibration, scale, gzip_level);
   temporal::TrendReport trend;
   for (std::uint32_t epoch = 0; epoch <= epochs; ++epoch) {
-    auto delta = stack.advance_to(epoch);
+    auto delta = stack.advance();
     if (!delta.ok()) {
       std::cerr << "evolve: " << delta.error().to_string() << "\n";
       return 1;
@@ -778,9 +769,10 @@ int cmd_serve(const Flags& flags) {
         options.job.light_calibration ? synth::Calibration::light()
                                       : synth::Calibration::paper(),
         scale, options.job.gzip_level);
+    // The daemon asks for epochs in order from 0, as the stack advances.
     options.temporal_advance =
-        [stack](std::uint32_t epoch) -> util::Result<core::PipelineResult> {
-      auto delta = stack->advance_to(epoch);
+        [stack](std::uint32_t) -> util::Result<core::PipelineResult> {
+      auto delta = stack->advance();
       if (!delta.ok()) return std::move(delta).error();
       return stack->analyzer.result();
     };

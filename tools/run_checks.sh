@@ -44,6 +44,7 @@ configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/timeseries_test"
 "${build_root}/tsan/tests/temporal_test"
 "${build_root}/tsan/tests/synth_test"
+"${build_root}/tsan/tests/versions_test"
 # The sharded-dedup suites under maximum spill churn.
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_test"
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_pipeline_test"
