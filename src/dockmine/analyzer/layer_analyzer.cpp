@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
-#include "dockmine/compress/gzip.h"
 #include "dockmine/digest/sha256.h"
 #include "dockmine/filetype/classifier.h"
 #include "dockmine/obs/obs.h"
@@ -168,30 +166,27 @@ util::Result<LayerProfile> LayerAnalyzer::analyze_tar(
 
 util::Result<LayerProfile> LayerAnalyzer::analyze_blob(
     std::string_view gzip_blob, const FileVisitor* visitor,
-    const DirectoryVisitor* dir_visitor, Timing* timing) const {
+    const DirectoryVisitor* dir_visitor, Timing* timing,
+    const digest::Digest* verified_digest) const {
   LayerWalk walk(options_, visitor, dir_visitor, timing);
   compress::GzipReader gzip(gzip_blob, options_.max_uncompressed);
-  const auto window = std::make_unique_for_overwrite<char[]>(kWindowBytes);
-  digest::Sha256 blob_sha;  // the compressed bytes, as inflate consumes them
-  std::size_t hashed = 0;
   util::Status walked;
   for (;;) {
     const double gunzip_start = timing != nullptr ? obs::now_ms() : 0.0;
-    auto got = gzip.read(window.get(), kWindowBytes);
+    auto got = gzip.next();
     if (timing != nullptr) timing->gunzip_ms += obs::now_ms() - gunzip_start;
     if (!got.ok()) return std::move(got).error();
-    blob_sha.update(gzip_blob.substr(hashed, gzip.consumed() - hashed));
-    hashed = gzip.consumed();
-    if (got.value() == 0) break;
-    // After a tar fault keep inflating: a gzip fault further on wins.
-    if (walked.ok()) walked = walk.feed({window.get(), got.value()});
+    if (got.value().empty()) break;
+    // After a tar fault keep decoding: a gzip fault further on wins.
+    if (walked.ok()) walked = walk.feed(got.value());
   }
   if (!walked.ok()) return walked.error();
   auto profile = walk.finish();
   if (!profile.ok()) return profile;
-  blob_sha.update(gzip_blob.substr(hashed));
   profile.value().cls = gzip_blob.size();
-  profile.value().digest = digest::Digest(blob_sha.finish());
+  profile.value().digest = verified_digest != nullptr
+                               ? *verified_digest
+                               : digest::Digest::of(gzip_blob);
   return profile;
 }
 

@@ -3,12 +3,12 @@
 // recursively traverses each subdirectory and obtains its metadata"
 // (§III-C), except we stream the archive instead of extracting to disk.
 //
-// A layer is analyzed in one bounded pass: the blob is inflated into a
-// fixed window (kWindowBytes), each tar header is parsed once it is
-// complete, file bytes feed an incremental SHA-256 and their first
-// `classify_prefix` bytes the type classifier, and the compressed input is
-// hashed as it is consumed. Memory does not follow layer size: no file and
-// no decompressed layer is ever held whole (the one exception is a GNU long
+// A layer is analyzed in one bounded pass: the walk reads the blob a
+// window (kWindowBytes) at a time from the gzip reader's own window, each
+// tar header is parsed once it is complete, and file bytes feed an
+// incremental SHA-256 and their first `classify_prefix` bytes the type
+// classifier. Memory does not follow layer size: no file and no
+// decompressed layer is ever held whole (the one exception is a GNU long
 // name, capped at tar::kMaxLongName).
 #pragma once
 
@@ -18,6 +18,8 @@
 #include <string_view>
 
 #include "dockmine/analyzer/profile.h"
+#include "dockmine/compress/gzip.h"
+#include "dockmine/digest/digest.h"
 #include "dockmine/util/error.h"
 
 namespace dockmine::analyzer {
@@ -43,8 +45,9 @@ using DirectoryVisitor = std::function<void(const DirectoryRecord&)>;
 
 class LayerAnalyzer {
  public:
-  /// Decompressed bytes inflated per step of analyze_blob's pass.
-  static constexpr std::size_t kWindowBytes = 256 * 1024;
+  /// Decompressed bytes walked per step of analyze_blob's pass.
+  static constexpr std::size_t kWindowBytes =
+      compress::GzipReader::kWindowBytes;
 
   struct Options {
     /// Cap on the decompressed layer size (bomb guard). The pass holds a
@@ -58,7 +61,7 @@ class LayerAnalyzer {
   /// Optional stage-timing breakdown, filled only when a non-null pointer
   /// is passed (the null path performs no clock reads at all).
   struct Timing {
-    double gunzip_ms = 0.0;    ///< inside inflate
+    double gunzip_ms = 0.0;    ///< inside the gzip reader
     double classify_ms = 0.0;  ///< per-file digest + type classification
   };
 
@@ -68,14 +71,17 @@ class LayerAnalyzer {
   /// Analyze a compressed layer blob in one bounded pass. `visitor`
   /// (optional) receives every regular file, under the contract above. The
   /// returned profile's `digest` is the SHA-256 of the blob and `cls` its
-  /// size. Faults report as gunzip-then-walk would: a gzip fault (header,
-  /// inflate error, truncation, CRC, ISIZE, the cap) wins over a tar fault,
-  /// so after a tar fault the rest of the blob is still inflated, and
-  /// discarded, to find one; the cap stops the pass at once.
+  /// size. A caller that has already verified the blob against its digest
+  /// passes it as `verified_digest`, and the blob is not hashed again;
+  /// without one the pass hashes the blob itself. Faults report as
+  /// gunzip-then-walk would: a gzip fault (header, DEFLATE fault,
+  /// truncation, CRC, ISIZE, the cap) wins over a tar fault, so after a tar
+  /// fault the rest of the blob is still decoded, and discarded, to find
+  /// one; the cap stops the pass at once.
   util::Result<LayerProfile> analyze_blob(
       std::string_view gzip_blob, const FileVisitor* visitor = nullptr,
-      const DirectoryVisitor* dir_visitor = nullptr,
-      Timing* timing = nullptr) const;
+      const DirectoryVisitor* dir_visitor = nullptr, Timing* timing = nullptr,
+      const digest::Digest* verified_digest = nullptr) const;
 
   /// Analyze an already-uncompressed tar archive, walked by the same code
   /// as analyze_blob (cls/digest filled by the caller if known).

@@ -55,8 +55,9 @@ class Session {
     store_.reserve(layers);
   }
 
-  /// Profile one compressed layer blob and deliver layer/file results.
-  void analyze(const std::string& gzip_blob);
+  /// Profile one compressed layer blob, already verified against `digest`,
+  /// and deliver layer/file results.
+  void analyze(const digest::Digest& digest, const std::string& gzip_blob);
 
   /// Latch an external failure (a blob fetch error) so the session fails
   /// fast exactly as if analysis itself had failed.
@@ -94,7 +95,8 @@ class Session {
   util::Status first_error_;
 };
 
-void Session::analyze(const std::string& gzip_blob) {
+void Session::analyze(const digest::Digest& digest,
+                      const std::string& gzip_blob) {
   // One journal event per analyzed layer, parented to the caller's span.
   const obs::EventSpan event_span("analyze_layer");
 
@@ -113,7 +115,7 @@ void Session::analyze(const std::string& gzip_blob) {
   const double start_ms = timed_ ? obs::now_ms() : 0.0;
   auto profile = analyzer_.analyze_blob(
       gzip_blob, sink_.on_layer_files ? &visitor : nullptr,
-      /*dir_visitor=*/nullptr, timed_ ? &timing : nullptr);
+      /*dir_visitor=*/nullptr, timed_ ? &timing : nullptr, &digest);
   if (timed_) {
     const double total_ms = obs::now_ms() - start_ms;
     metrics.layer_ms.observe(total_ms);
@@ -174,7 +176,7 @@ util::Result<ProfileStore> AnalysisPipeline::run(
       session.fail(std::move(blob).error());
       return;
     }
-    session.analyze(*blob.value());
+    session.analyze(unique[i], *blob.value());
   });
   pool.shutdown();
   if (auto status = session.finish(manifests); !status.ok()) {

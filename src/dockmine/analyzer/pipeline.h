@@ -40,6 +40,9 @@ class AnalysisPipeline {
     std::function<void(const ImageProfile&)> on_image;
   };
 
+  /// Returns the blob whose SHA-256 is `digest`, verified: the pipeline
+  /// takes each layer's digest from its manifest and does not hash the blob
+  /// again.
   using BlobFetch =
       std::function<util::Result<blob::BlobPtr>(const digest::Digest&)>;
 

@@ -1,7 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum in
 // the gzip member trailer, DMWF wire frames and DMSHRUN1 run files. Computed
-// by zlib's `crc32_z` (same polynomial and pre/post conditioning, a size_t
-// length per call); this type adds the incremental interface.
+// by a PCLMULQDQ folding kernel where CPUID reports it, and by zlib's
+// `crc32_z` elsewhere and for short inputs and tails (crc32_kernel.h); both
+// give `crc32_z`'s value (same polynomial and pre/post conditioning). This
+// type adds the incremental interface.
 #pragma once
 
 #include <cstddef>

@@ -204,34 +204,17 @@ util::Result<GzipInfo> gzip_probe(std::string_view member) {
 
 util::Result<std::string> gzip_decompress(std::string_view member,
                                           std::uint64_t max_output) {
-  constexpr std::size_t kMinGrowth = 64 * 1024;
   GzipReader reader(member, max_output);
-  // The reader fails once the payload passes the cap.
-  const std::uint64_t limit = output_limit(max_output);
   std::string out;
-  out.resize(reader.size_hint());
-  std::size_t produced = 0;
+  out.reserve(reader.size_hint());
   for (;;) {
-    if (produced == out.size()) {
-      out.resize(std::min<std::uint64_t>(
-          limit, std::max<std::size_t>(2 * out.size(), kMinGrowth)));
-    }
-    auto got = reader.read(out.data() + produced, out.size() - produced);
+    auto got = reader.next();
     if (!got.ok()) return std::move(got).error();
-    if (got.value() == 0) break;
-    produced += got.value();
+    if (got.value().empty()) break;
+    out.append(got.value());
   }
-  out.resize(produced);
   return out;
 }
-
-struct GzipReader::Inflate {
-  z_stream zs{};
-  bool initialized = false;
-  ~Inflate() {
-    if (initialized) inflateEnd(&zs);
-  }
-};
 
 GzipReader::GzipReader(std::string_view member, std::uint64_t max_output)
     : max_output_(max_output) {
@@ -240,81 +223,42 @@ GzipReader::GzipReader(std::string_view member, std::uint64_t max_output)
     fail(std::move(info).error());
     return;
   }
-  header_size_ = info.value().header_size;
-  if (member.size() < header_size_ + 8) {
+  const std::size_t header_size = info.value().header_size;
+  if (member.size() < header_size + 8) {
     fail(util::corrupt("gzip member too short"));
     return;
   }
-  body_ = member.substr(header_size_, member.size() - header_size_ - 8);
+  body_size_ = member.size() - header_size - 8;
   const auto* trailer = reinterpret_cast<const unsigned char*>(
       member.data() + member.size() - 8);
   want_crc_ = get_le32(trailer);
   want_isize_ = get_le32(trailer + 4);
-  inflate_ = std::make_unique<Inflate>();
-  inflate_->zs.next_in =
-      reinterpret_cast<Bytef*>(const_cast<char*>(body_.data()));
-  if (inflateInit2(&inflate_->zs, /*windowBits=*/-15) != Z_OK) {
-    fail(util::internal("inflateInit2 failed"));
-    return;
-  }
-  inflate_->initialized = true;
-}
-
-GzipReader::~GzipReader() = default;
-
-std::size_t GzipReader::consumed() const noexcept {
-  if (inflate_ == nullptr) return 0;
-  return header_size_ + static_cast<std::size_t>(
-                            reinterpret_cast<const char*>(inflate_->zs.next_in) -
-                            body_.data());
+  inflater_.start(member.substr(header_size, body_size_), max_output);
 }
 
 std::size_t GzipReader::size_hint() const noexcept {
   return static_cast<std::size_t>(
       std::min({std::uint64_t{want_isize_}, output_limit(max_output_),
-                4 * std::uint64_t{body_.size()}}));
+                4 * std::uint64_t{body_size_}}));
 }
 
-util::Result<std::size_t> GzipReader::read(char* out, std::size_t size) {
+util::Result<std::string_view> GzipReader::next() {
   if (!status_.ok()) return status_.error();
-  if (ended_) return std::size_t{0};
-  z_stream& zs = inflate_->zs;
-  const Bytef* const in_end =
-      reinterpret_cast<const Bytef*>(body_.data() + body_.size());
-  std::size_t produced = 0;
-  while (produced < size) {
-    if (zs.avail_in == 0) zs.avail_in = zlib_slice(in_end - zs.next_in);
-    zs.next_out = reinterpret_cast<Bytef*>(out + produced);
-    zs.avail_out = zlib_slice(size - produced);
-    const uInt offered = zs.avail_out;
-    const int rc = inflate(&zs, Z_NO_FLUSH);
-    produced += offered - zs.avail_out;
-    if (produced_ + produced > max_output_) {
-      return fail(util::out_of_range("decompressed size exceeds cap"));
-    }
-    if (rc == Z_STREAM_END) {
-      ended_ = true;
-      break;
-    }
-    if (rc != Z_OK && rc != Z_BUF_ERROR) {
-      return fail(
-          util::corrupt("inflate failed (rc=" + std::to_string(rc) + ")"));
-    }
-    if (zs.avail_out != 0 && zs.next_in == in_end) {
-      return fail(util::corrupt("truncated deflate stream"));
-    }
-  }
-  crc_.update(out, produced);
-  produced_ += produced;
-  if (ended_) {
+  if (ended_) return std::string_view();
+  auto got = inflater_.next();
+  if (!got.ok()) return fail(std::move(got).error());
+  crc_.update(got.value());
+  if (inflater_.ended()) {
+    ended_ = true;
     if (crc_.value() != want_crc_) {
       return fail(util::corrupt("gzip CRC mismatch"));
     }
-    if (static_cast<std::uint32_t>(produced_ & 0xffffffffULL) != want_isize_) {
+    if (static_cast<std::uint32_t>(inflater_.produced() & 0xffffffffULL) !=
+        want_isize_) {
       return fail(util::corrupt("gzip ISIZE mismatch"));
     }
   }
-  return produced;
+  return got;
 }
 
 }  // namespace dockmine::compress

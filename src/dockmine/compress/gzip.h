@@ -1,9 +1,12 @@
-// Gzip (RFC 1952) member framing over zlib's raw DEFLATE.
+// Gzip (RFC 1952) member framing over raw DEFLATE.
 //
 // Docker layers travel as "gzip compressed tar archives" (paper §III-B).
 // We produce and parse the gzip container ourselves — 10-byte header,
-// optional FEXTRA/FNAME/FCOMMENT/FHCRC fields, CRC-32 + ISIZE trailer —
-// and delegate only the DEFLATE bitstream to zlib (windowBits = -15).
+// optional FEXTRA/FNAME/FCOMMENT/FHCRC fields, CRC-32 + ISIZE trailer.
+// Compression delegates the DEFLATE bitstream to zlib (windowBits = -15),
+// whose output every blob digest is pinned to; decompression runs the
+// in-tree streaming decoder (`Inflater`, compress/inflate.h), which agrees
+// with zlib's inflate on every stream.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <string_view>
 
 #include "dockmine/compress/crc32.h"
+#include "dockmine/compress/inflate.h"
 #include "dockmine/util/error.h"
 
 namespace dockmine::compress {
@@ -73,58 +77,54 @@ class GzipWriter {
 util::Result<std::string> gzip_decompress(
     std::string_view member, std::uint64_t max_output = 1ULL << 34);
 
-/// One gzip member inflated in pieces into caller-supplied space, so a
-/// caller can walk the payload without holding it (the layer analyzer's
-/// bounded pass). Faults surface in stream order: the header when the
-/// reader is built (reported by the first read), then an inflate error,
-/// truncation or the `max_output` cap as the stream reaches it, then CRC-32
-/// and ISIZE in the read that reaches the end of the DEFLATE stream. Errors
-/// are sticky. The trailer is the member's last 8 bytes; bytes between the
-/// end of the DEFLATE stream and the trailer are ignored.
+/// One gzip member decoded a window at a time, so a caller can walk the
+/// payload without holding it (the layer analyzer's bounded pass). The
+/// reader owns the window: a 32 KiB history plus up to kWindowBytes of new
+/// payload, which next() returns as a view. Faults surface in stream order:
+/// the header when the reader is built (reported by the first call), then a
+/// DEFLATE fault, truncation ("truncated deflate stream") or the
+/// `max_output` cap (kOutOfRange) as the stream reaches it, then CRC-32 and
+/// ISIZE in the call that reaches the end of the DEFLATE stream. Every fault
+/// but the cap is kCorrupt, and errors are sticky. The trailer is the
+/// member's last 8 bytes; bytes between the end of the DEFLATE stream and
+/// the trailer are ignored.
 class GzipReader {
  public:
+  static constexpr std::size_t kWindowBytes = Inflater::kWindowBytes;
+
   /// `member` must outlive the reader.
   GzipReader(std::string_view member, std::uint64_t max_output);
-  ~GzipReader();
   GzipReader(const GzipReader&) = delete;
   GzipReader& operator=(const GzipReader&) = delete;
 
-  /// Inflate the next bytes of the payload into out[0, size), size > 0,
-  /// filling it unless the stream ends first. Returns how many bytes were
-  /// written; 0 once the member has ended with its trailer verified.
-  util::Result<std::size_t> read(char* out, std::size_t size);
-
-  /// Bytes of `member` consumed so far: the header and the DEFLATE input
-  /// inflated up to now. What follows is unread (a caller hashing the
-  /// member in the same pass hashes the rest at the end).
-  std::size_t consumed() const noexcept;
+  /// The next 1..kWindowBytes bytes of the payload, as a view into the
+  /// reader's window that stays valid until the next call; every view but
+  /// the last is exactly kWindowBytes long. Empty once the member has ended
+  /// with its trailer verified.
+  util::Result<std::string_view> next();
 
   /// First allocation for a caller that collects the whole payload. It
   /// follows the body, never more than four times its size (most layers
   /// deflate by less), so a member whose trailer lies costs what its body
   /// does; the trailer's ISIZE and one byte past `max_output` (the byte
   /// that proves the cap exceeded) only lower it. The caller grows the
-  /// buffer as bytes actually inflate.
+  /// buffer as bytes actually decode.
   std::size_t size_hint() const noexcept;
 
  private:
-  struct Inflate;  // zlib's stream state, kept out of this header
-
   util::Error fail(util::Error error) {
     status_ = error;
     return error;
   }
 
-  std::string_view body_;  ///< the DEFLATE stream (header and trailer cut)
-  std::size_t header_size_ = 0;
+  std::size_t body_size_ = 0;  ///< the DEFLATE stream: header, trailer cut
   std::uint64_t max_output_ = 0;
-  std::uint64_t produced_ = 0;
   std::uint32_t want_crc_ = 0;
   std::uint32_t want_isize_ = 0;
   Crc32 crc_;
   bool ended_ = false;
   util::Status status_;
-  std::unique_ptr<Inflate> inflate_;
+  Inflater inflater_;
 };
 
 /// Header fields of a gzip member without decompressing the body.

@@ -78,16 +78,17 @@ void count_failure(const util::Error& error, DownloadStats& stats) {
 util::Result<blob::BlobPtr> Downloader::acquire_layer(
     const digest::Digest& digest) {
   DownloaderMetrics& metrics = DownloaderMetrics::get();
-  // Checkpointed layers were verified before being admitted; reloading them
-  // costs disk I/O, not registry traffic.
+  // Reloading a checkpointed layer costs disk I/O, not registry traffic. It
+  // was verified before it was admitted and is verified again on the way
+  // back: the analyzer takes the digest as the blob's own.
   if (options_.checkpoint != nullptr && options_.checkpoint->has_layer(digest)) {
     auto restored = options_.checkpoint->layer(digest);
-    if (restored.ok()) {
+    if (restored.ok() && digest::Digest::of(*restored.value()) == digest) {
       layers_resumed_.fetch_add(1, std::memory_order_relaxed);
       metrics.layers_resumed.add();
       return restored;
     }
-    // Checkpoint store unreadable: fall through to a normal transfer.
+    // Checkpoint copy unreadable or damaged: fall through to a transfer.
   }
 
   const obs::Timer timer;

@@ -71,16 +71,14 @@ bool TimeSeriesStore::configure(const TimeSeriesOptions& options) {
                   std::memory_order_relaxed);
   interval_ms_.store(std::max<std::uint64_t>(options.interval_ms, 1),
                      std::memory_order_relaxed);
-  directory_.store(std::make_shared<const Directory>(),
-                   std::memory_order_release);
+  directory_.store(std::make_shared<const Directory>());
   ticks_.store(0, std::memory_order_relaxed);
   return true;
 }
 
 void TimeSeriesStore::reset() {
   std::lock_guard<std::mutex> lock(write_mutex_);
-  directory_.store(std::make_shared<const Directory>(),
-                   std::memory_order_release);
+  directory_.store(std::make_shared<const Directory>());
   ticks_.store(0, std::memory_order_relaxed);
 }
 
@@ -91,13 +89,11 @@ void TimeSeriesStore::append(Directory& directory, bool& directory_grew,
   auto it = directory.find(name);
   if (it == directory.end()) {
     it = directory.emplace(name, std::make_shared<Series>()).first;
-    it->second->ring.store(std::make_shared<const Ring>(Ring{kind, {}}),
-                           std::memory_order_release);
+    it->second->ring.store(std::make_shared<const Ring>(Ring{kind, {}}));
     directory_grew = true;
   }
   Series& series = *it->second;
-  const std::shared_ptr<const Ring> old =
-      series.ring.load(std::memory_order_acquire);
+  const std::shared_ptr<const Ring> old = series.ring.load();
 
   TsSample sample;
   sample.ts_ms = ts_ms;
@@ -123,7 +119,7 @@ void TimeSeriesStore::append(Directory& directory, bool& directory_grew,
   next->samples.assign(old->samples.begin() + static_cast<std::ptrdiff_t>(drop),
                        old->samples.end());
   next->samples.push_back(sample);
-  series.ring.store(std::move(next), std::memory_order_release);
+  series.ring.store(std::move(next));
 }
 
 void TimeSeriesStore::sample_once() {
@@ -137,8 +133,7 @@ void TimeSeriesStore::sample_once() {
   std::lock_guard<std::mutex> lock(write_mutex_);
   // Copy-on-write only when a new instrument appeared; appending to an
   // existing series swaps just that series' ring.
-  const std::shared_ptr<const Directory> published =
-      directory_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Directory> published = directory_.load();
   Directory working = *published;
   bool grew = false;
 
@@ -162,14 +157,12 @@ void TimeSeriesStore::sample_once() {
   // the *next* tick samples it into a series.
   std::uint64_t bytes = 0;
   for (const auto& [name, series] : working) {
-    const std::shared_ptr<const Ring> ring =
-        series->ring.load(std::memory_order_acquire);
+    const std::shared_ptr<const Ring> ring = series->ring.load();
     bytes += name.size() + sizeof(Series) + sizeof(Ring) +
              ring->samples.capacity() * sizeof(TsSample);
   }
   if (grew) {
-    directory_.store(std::make_shared<const Directory>(std::move(working)),
-                     std::memory_order_release);
+    directory_.store(std::make_shared<const Directory>(std::move(working)));
   }
   ticks_.fetch_add(1, std::memory_order_relaxed);
   Registry::global().gauge("dockmine_timeseries_bytes").set(
@@ -177,12 +170,10 @@ void TimeSeriesStore::sample_once() {
 }
 
 std::uint64_t TimeSeriesStore::footprint_bytes() const {
-  const std::shared_ptr<const Directory> directory =
-      directory_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Directory> directory = directory_.load();
   std::uint64_t bytes = 0;
   for (const auto& [name, series] : *directory) {
-    const std::shared_ptr<const Ring> ring =
-        series->ring.load(std::memory_order_acquire);
+    const std::shared_ptr<const Ring> ring = series->ring.load();
     bytes += name.size() + sizeof(Series) + sizeof(Ring) +
              ring->samples.capacity() * sizeof(TsSample);
   }
@@ -239,8 +230,7 @@ void TimeSeriesStore::stop_sampler() {
 
 std::shared_ptr<const TimeSeriesStore::Series> TimeSeriesStore::find(
     std::string_view name) const {
-  const std::shared_ptr<const Directory> directory =
-      directory_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Directory> directory = directory_.load();
   const auto it = directory->find(name);
   if (it == directory->end()) return nullptr;
   return it->second;
@@ -248,13 +238,11 @@ std::shared_ptr<const TimeSeriesStore::Series> TimeSeriesStore::find(
 
 std::vector<TimeSeriesStore::SeriesInfo> TimeSeriesStore::series(
     std::string_view selector) const {
-  const std::shared_ptr<const Directory> directory =
-      directory_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Directory> directory = directory_.load();
   std::vector<SeriesInfo> out;
   for (const auto& [name, series] : *directory) {
     if (!selector_matches(selector, name)) continue;
-    const std::shared_ptr<const Ring> ring =
-        series->ring.load(std::memory_order_acquire);
+    const std::shared_ptr<const Ring> ring = series->ring.load();
     out.push_back(SeriesInfo{name, ring->kind});
   }
   return out;  // map order: already sorted by name
@@ -263,7 +251,7 @@ std::vector<TimeSeriesStore::SeriesInfo> TimeSeriesStore::series(
 std::vector<TsSample> TimeSeriesStore::read(std::string_view name) const {
   const auto series = find(name);
   if (!series) return {};
-  return series->ring.load(std::memory_order_acquire)->samples;
+  return series->ring.load()->samples;
 }
 
 std::vector<TsSample> TimeSeriesStore::range(std::string_view name,
@@ -271,8 +259,7 @@ std::vector<TsSample> TimeSeriesStore::range(std::string_view name,
                                              double t1_ms) const {
   const auto series = find(name);
   if (!series) return {};
-  const std::shared_ptr<const Ring> ring =
-      series->ring.load(std::memory_order_acquire);
+  const std::shared_ptr<const Ring> ring = series->ring.load();
   std::vector<TsSample> out;
   for (const TsSample& sample : ring->samples) {
     if (sample.ts_ms >= t0_ms && sample.ts_ms <= t1_ms) {
@@ -285,8 +272,7 @@ std::vector<TsSample> TimeSeriesStore::range(std::string_view name,
 std::optional<TsSample> TimeSeriesStore::latest(std::string_view name) const {
   const auto series = find(name);
   if (!series) return std::nullopt;
-  const std::shared_ptr<const Ring> ring =
-      series->ring.load(std::memory_order_acquire);
+  const std::shared_ptr<const Ring> ring = series->ring.load();
   if (ring->samples.empty()) return std::nullopt;
   return ring->samples.back();
 }
@@ -295,8 +281,7 @@ std::optional<double> TimeSeriesStore::rate_per_s(std::string_view name,
                                                   double window_ms) const {
   const auto series = find(name);
   if (!series) return std::nullopt;
-  const std::shared_ptr<const Ring> ring =
-      series->ring.load(std::memory_order_acquire);
+  const std::shared_ptr<const Ring> ring = series->ring.load();
   if (ring->kind == SeriesKind::kGauge || ring->samples.size() < 2) {
     return std::nullopt;
   }
@@ -323,8 +308,7 @@ std::optional<double> TimeSeriesStore::quantile(std::string_view name,
                                                 double window_ms) const {
   const auto series = find(name);
   if (!series) return std::nullopt;
-  const std::shared_ptr<const Ring> ring =
-      series->ring.load(std::memory_order_acquire);
+  const std::shared_ptr<const Ring> ring = series->ring.load();
   if (ring->kind != SeriesKind::kHistogram || ring->samples.empty()) {
     return std::nullopt;
   }

@@ -10,11 +10,13 @@
 //   * histograms  value = cumulative observation count, delta = new
 //                 observations, plus sum and the sampled p50/p90/p99.
 //
-// Readers are lock-free via snapshot swap: every ring is an immutable
-// vector published through an atomic shared_ptr; a sample tick builds the
-// successor ring beside the readers and swaps it in. No seqlock retries,
-// no torn reads, and the scheme is exactly the discipline the serve
-// daemon's Snapshot already uses — TSan-clean by construction.
+// Readers never wait on a sample tick's work: every ring is an immutable
+// vector whose shared_ptr is published under a mutex held only to copy or
+// swap the pointer; a sample tick builds the successor ring beside the
+// readers and swaps it in. No seqlock retries and no torn reads. (The
+// pointer was a std::atomic<std::shared_ptr> until ThreadSanitizer, which
+// does not model libstdc++ 12's lock bit inside it, reported every swap as
+// a race.)
 //
 // Memory is bounded by design: capacity() samples per series, one series
 // per registered instrument, and the store's own footprint is exported as
@@ -150,13 +152,34 @@ class TimeSeriesStore {
                                std::string_view name);
 
  private:
+  /// A shared_ptr published to readers: a reader copies it out, a writer
+  /// swaps in a successor and releases the old one outside the lock.
+  template <typename T>
+  class Published {
+   public:
+    explicit Published(std::shared_ptr<const T> value = nullptr)
+        : value_(std::move(value)) {}
+    std::shared_ptr<const T> load() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return value_;
+    }
+    void store(std::shared_ptr<const T> value) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      value_.swap(value);
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::shared_ptr<const T> value_;
+  };
+
   /// Immutable published ring; successor rings are built beside readers.
   struct Ring {
     SeriesKind kind = SeriesKind::kCounter;
     std::vector<TsSample> samples;  ///< oldest -> newest, size <= capacity
   };
   struct Series {
-    std::atomic<std::shared_ptr<const Ring>> ring;
+    Published<Ring> ring;
     // Sampler-thread-only bookkeeping for deltas (guarded by write_mutex_).
     double prev_value = 0.0;
     bool has_prev = false;
@@ -170,8 +193,7 @@ class TimeSeriesStore {
               double value, double sum, double p50, double p90, double p99);
 
   mutable std::mutex write_mutex_;  ///< serializes sample/configure/reset
-  std::atomic<std::shared_ptr<const Directory>> directory_{
-      std::make_shared<const Directory>()};
+  Published<Directory> directory_{std::make_shared<const Directory>()};
   std::atomic<std::size_t> capacity_{600};
   std::atomic<std::uint64_t> interval_ms_{1000};
   std::atomic<std::uint64_t> ticks_{0};

@@ -41,8 +41,9 @@ util::Result<blob::BlobPtr> DeltaAnalyzer::fetch_blob(
     EpochDelta& delta) {
   if (options_.checkpoint != nullptr && options_.checkpoint->has_layer(digest)) {
     auto resumed = options_.checkpoint->layer(digest);
-    if (resumed.ok()) {
-      // Checkpointed bytes were digest-verified before admission.
+    // Verified before admission and again here: analyze_blob takes the
+    // digest as the blob's own.
+    if (resumed.ok() && digest::Digest::of(*resumed.value()) == digest) {
       ++delta.layers_resumed;
       ++download_.layers_resumed;
       return resumed;
@@ -151,7 +152,9 @@ util::Result<EpochDelta> DeltaAnalyzer::apply_epoch(
             entry.entry.first_layer = layer_index;
             records.push_back(entry);
           };
-      auto profile = analyzer_.analyze_blob(*blob.value(), &visitor);
+      // fetch_blob verified the bytes against ref.digest.
+      auto profile = analyzer_.analyze_blob(*blob.value(), &visitor, nullptr,
+                                            nullptr, &ref.digest);
       if (!profile.ok()) return std::move(profile).error();
       layer.profile = profile.value();
       layer.file_instances = records.size();

@@ -136,6 +136,45 @@ TEST(LayerAnalyzerTest, AHugeLayerIsAnalyzedInBoundedMemory) {
 #endif
 }
 
+TEST(LayerAnalyzerTest, AVerifiedDigestGivesTheProfileTheBlobHashGives) {
+  const synth::HubModel hub(synth::Calibration::light(), synth::Scale{20, 5});
+  const synth::Materializer materializer(hub, /*gzip_level=*/1);
+  const LayerAnalyzer analyzer;
+  int checked = 0;
+  for (const synth::LayerId id : hub.unique_layers()) {
+    const std::string blob =
+        materializer.layer_blob(hub.layer_spec(id)).value();
+    const digest::Digest verified = digest::Digest::of(blob);
+    std::vector<std::string> hashed_files, verified_files;
+    const auto collect = [](std::vector<std::string>& into) {
+      return FileVisitor([&into](std::string_view path, const FileRecord& r) {
+        into.push_back(std::string(path) + "|" + r.digest.to_string() + "|" +
+                       std::to_string(r.size) + "|" +
+                       std::to_string(static_cast<int>(r.type)));
+      });
+    };
+    const FileVisitor hashed_visitor = collect(hashed_files);
+    const FileVisitor verified_visitor = collect(verified_files);
+    auto hashed = analyzer.analyze_blob(blob, &hashed_visitor);
+    auto given = analyzer.analyze_blob(blob, &verified_visitor, nullptr,
+                                       nullptr, &verified);
+    ASSERT_TRUE(hashed.ok()) << hashed.error().message();
+    ASSERT_TRUE(given.ok()) << given.error().message();
+    const LayerProfile& a = hashed.value();
+    const LayerProfile& b = given.value();
+    EXPECT_EQ(a.digest, verified);
+    EXPECT_EQ(b.digest, verified);
+    EXPECT_EQ(a.cls, b.cls);
+    EXPECT_EQ(a.fls, b.fls);
+    EXPECT_EQ(a.file_count, b.file_count);
+    EXPECT_EQ(a.dir_count, b.dir_count);
+    EXPECT_EQ(a.max_depth, b.max_depth);
+    EXPECT_EQ(hashed_files, verified_files);
+    if (++checked == 8) break;
+  }
+  EXPECT_EQ(checked, 8);
+}
+
 TEST(LayerAnalyzerTest, TrailerFaultsFailLikeGunzipAndRouteNothing) {
   const synth::HubModel hub(synth::Calibration::light(), synth::Scale{20, 5});
   const synth::Materializer materializer(hub, /*gzip_level=*/1);

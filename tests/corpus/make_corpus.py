@@ -121,6 +121,94 @@ def long_name_over_cap_layer():
     return gzip_bytes(tar_bytes(lambda tf: add_file(tf, name, b"payload")))
 
 
+def gzip_member(body, payload):
+    """A gzip member (no optional fields, mtime 0) around a raw DEFLATE
+    body; the trailer describes `payload`."""
+    return (b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + body
+            + struct.pack("<II", zlib.crc32(payload) & 0xFFFFFFFF,
+                          len(payload) & 0xFFFFFFFF))
+
+
+def raw_deflate(chunks, level, strategy=zlib.Z_DEFAULT_STRATEGY):
+    """zlib's raw DEFLATE of `chunks`, a full flush after each but the last
+    (so every chunk ends a block)."""
+    c = zlib.compressobj(level, zlib.DEFLATED, -15, 8, strategy)
+    out = b""
+    for i, chunk in enumerate(chunks):
+        out += c.compress(chunk)
+        out += c.flush(zlib.Z_FINISH if i == len(chunks) - 1
+                       else zlib.Z_FULL_FLUSH)
+    return out
+
+
+class BitWriter:
+    """A DEFLATE bit stream: fields least significant bit first, Huffman
+    codes most significant bit first (RFC 1951 §3.1.1)."""
+
+    def __init__(self):
+        self.bits_out = []
+
+    def bits(self, value, count):
+        self.bits_out += [(value >> i) & 1 for i in range(count)]
+        return self
+
+    def code(self, value, length):
+        self.bits_out += [(value >> i) & 1 for i in reversed(range(length))]
+        return self
+
+    def done(self):
+        padded = self.bits_out + [0] * (-len(self.bits_out) % 8)
+        return bytes(sum(bit << i for i, bit in enumerate(padded[n:n + 8]))
+                     for n in range(0, len(padded), 8))
+
+
+def stored_blocks_member():
+    """Level 0: stored blocks, one per flushed chunk, with the empty stored
+    block each full flush adds."""
+    chunks = [b"stored ", b"", b"blocks " * 9, b"end"]
+    return gzip_member(raw_deflate(chunks, 0), b"".join(chunks))
+
+
+def fixed_huffman_member():
+    """Z_FIXED: fixed-code blocks, three of them, with long matches."""
+    chunks = [b"fixed huffman " * 20, b"\x00" * 600, b"tail"]
+    return gzip_member(raw_deflate(chunks, 9, zlib.Z_FIXED), b"".join(chunks))
+
+
+def single_distance_code_member():
+    """A dynamic block whose distance tree is one 1-bit code (legal: zlib's
+    one accepted incomplete code): "A", then a 3-byte match at distance 1.
+    Literal/length code: end of block '0', 'A' '10', length 3 '11'."""
+    lens = [0] * 259
+    lens[256] = 1
+    lens[ord("A")] = 2
+    lens[257] = 2
+    lens[258] = 1  # distance code 0
+    order = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15]
+    w = BitWriter().bits(1, 1).bits(2, 2).bits(258 - 257, 5).bits(0, 5)
+    w.bits(19 - 4, 4)
+    for symbol in order:
+        w.bits(4 if symbol < 16 else 0, 3)  # code lengths 0..15: 4 bits each
+    for length in lens:
+        w.code(length, 4)
+    w.code(0b10, 2).code(0b11, 2).code(0, 1).code(0, 1)
+    return gzip_member(w.done(), b"AAAA")
+
+
+def distance_too_far_member():
+    """A fixed-code block whose first symbol is a match: its distance
+    reaches before the first byte ("invalid distance too far back")."""
+    w = BitWriter().bits(1, 1).bits(1, 2).code(0b0000001, 7).code(0, 5)
+    return gzip_member(w.done(), b"")
+
+
+def truncated_dynamic_header_member():
+    """A level-6 member cut inside its dynamic block's code lengths: a
+    truncation, whatever the missing bits would have decoded to."""
+    body = raw_deflate([b"dynamic header, then nothing " * 8], 6)
+    return gzip_member(body[:20], b"")
+
+
 def shard_run_bytes(shard_count, shard_index, entries):
     """Encode a dockmine::shard spill run (run_format.h, DMSHRUN1 v1).
 
@@ -265,6 +353,14 @@ CORPUS = {
     "layer_whiteout_edges.bin": lambda: gzip_bytes(whiteout_edges_tar()),
     # A layer whose long name is one byte over the readers' cap.
     "layer_long_name_over_cap.bin": long_name_over_cap_layer,
+    # DEFLATE decoder edge cases, each a gzip member: stored and fixed-code
+    # blocks, the legal single-code distance tree, a distance before the
+    # first byte, and a dynamic header cut short.
+    "deflate_stored_blocks.bin": stored_blocks_member,
+    "deflate_fixed_huffman.bin": fixed_huffman_member,
+    "deflate_single_distance_code.bin": single_distance_code_member,
+    "deflate_distance_too_far.bin": distance_too_far_member,
+    "deflate_truncated_dynamic_header.bin": truncated_dynamic_header_member,
     # Shard spill runs (dockmine::shard run_format): one good, two damaged.
     "shard_run_valid.bin": valid_shard_run,
     "shard_run_truncated.bin": truncated_shard_run,

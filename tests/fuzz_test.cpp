@@ -1,13 +1,20 @@
 // Robustness fuzzing: the parsers and the classifier must never crash or
 // loop on arbitrary input — they sit on the pipeline's untrusted side
 // (the paper's analyzer ingested whatever Docker Hub served).
+#include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include "dockmine/analyzer/layer_analyzer.h"
+#include "dockmine/compress/content_gen.h"
 #include "dockmine/compress/gzip.h"
 #include "dockmine/core/serve.h"
 #include "dockmine/core/wire.h"
@@ -851,6 +858,497 @@ TEST(DifferentialTest, ClassifierPrefixJoinsAcrossWindows) {
   AnalyzerOptions options;
   options.classify_prefix = 4096;
   EXPECT_TRUE(expect_one_pass_matches(blob.value(), "spanning prefix", options));
+}
+
+
+// ---------------------------------------------------------------------------
+// Differential test of the DEFLATE decoder against zlib. The reference is
+// zlib's inflate (raw, windowBits -15) under the gzip framing and fault
+// order GzipReader had when it delegated decoding to zlib: the cap, checked
+// after each inflate call, then zlib's error, then "truncated deflate
+// stream" once the input is spent with output still wanted, then CRC-32 and
+// ISIZE. The decoder reports zlib's messages for DEFLATE faults, so both
+// sides must agree on accept or reject, on the bytes, and on the fault
+// (truncated versus corrupt included) to the message.
+// ---------------------------------------------------------------------------
+
+util::Result<std::string> zlib_gunzip(std::string_view member,
+                                      std::uint64_t max_output) {
+  auto info = compress::gzip_probe(member);
+  if (!info.ok()) return std::move(info).error();
+  const std::size_t header = info.value().header_size;
+  if (member.size() < header + 8) return util::corrupt("gzip member too short");
+  const std::string_view body = member.substr(header, member.size() - header - 8);
+  const auto* trailer =
+      reinterpret_cast<const unsigned char*>(member.data() + member.size() - 8);
+  const auto le32 = [](const unsigned char* p) {
+    return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+           (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+  };
+  z_stream zs{};
+  if (inflateInit2(&zs, -15) != Z_OK) return util::internal("inflateInit2");
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(body.data()));
+  zs.avail_in = static_cast<uInt>(body.size());
+  std::string out;
+  std::string chunk(compress::GzipReader::kWindowBytes, '\0');
+  util::Status status;
+  for (;;) {
+    zs.next_out = reinterpret_cast<Bytef*>(chunk.data());
+    zs.avail_out = static_cast<uInt>(chunk.size());
+    const int rc = inflate(&zs, Z_NO_FLUSH);
+    out.append(chunk.data(), chunk.size() - zs.avail_out);
+    if (out.size() > max_output) {
+      status = util::out_of_range("decompressed size exceeds cap");
+    } else if (rc == Z_STREAM_END) {
+      break;
+    } else if (rc != Z_OK && rc != Z_BUF_ERROR) {
+      status = util::corrupt(zs.msg != nullptr ? zs.msg : "inflate failed");
+    } else if (zs.avail_out != 0 && zs.avail_in == 0) {
+      status = util::corrupt("truncated deflate stream");
+    } else {
+      continue;
+    }
+    break;
+  }
+  inflateEnd(&zs);
+  if (!status.ok()) return status.error();
+  if (crc32_z(0, reinterpret_cast<const Bytef*>(out.data()), out.size()) !=
+      le32(trailer)) {
+    return util::corrupt("gzip CRC mismatch");
+  }
+  if (static_cast<std::uint32_t>(out.size()) != le32(trailer + 4)) {
+    return util::corrupt("gzip ISIZE mismatch");
+  }
+  return out;
+}
+
+/// Decode `member` with both; returns the shared outcome's message ("" when
+/// both accepted it), or "disagree" after reporting the difference. Ours
+/// reads an exactly sized copy, so AddressSanitizer catches any read past
+/// the member.
+std::string expect_same_as_zlib(std::string_view member,
+                                const std::string& label,
+                                std::uint64_t max_output = 1ULL << 34) {
+  const auto exact = std::make_unique<char[]>(member.size());
+  std::copy(member.begin(), member.end(), exact.get());
+  const auto ours = compress::gzip_decompress(
+      std::string_view(exact.get(), member.size()), max_output);
+  const auto zlib = zlib_gunzip(member, max_output);
+  if (ours.ok() != zlib.ok()) {
+    ADD_FAILURE() << label << ": ours "
+                  << (ours.ok() ? "accepted" : ours.error().message())
+                  << ", zlib "
+                  << (zlib.ok() ? "accepted" : zlib.error().message());
+    return "disagree";
+  }
+  if (ours.ok()) {
+    if (ours.value() != zlib.value()) {
+      ADD_FAILURE() << label << ": different bytes (" << ours.value().size()
+                    << " vs " << zlib.value().size() << ")";
+      return "disagree";
+    }
+    return "";
+  }
+  if (ours.error().code() != zlib.error().code() ||
+      ours.error().message() != zlib.error().message()) {
+    ADD_FAILURE() << label << ": ours " << ours.error().message() << ", zlib "
+                  << zlib.error().message();
+    return "disagree";
+  }
+  return ours.error().message();
+}
+
+/// A gzip member around a raw DEFLATE body, its trailer from `payload`.
+std::string gzip_member(std::string_view body, std::string_view payload) {
+  std::string member("\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff", 10);
+  member.append(body);
+  const auto crc = static_cast<std::uint32_t>(crc32_z(
+      0, reinterpret_cast<const Bytef*>(payload.data()), payload.size()));
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  for (const std::uint32_t word : {crc, size}) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      member += static_cast<char>((word >> shift) & 0xff);
+    }
+  }
+  return member;
+}
+
+/// `raw` deflated by zlib at `level` (0 = stored blocks) with `strategy`.
+std::string zlib_deflate(std::string_view raw, int level, int strategy) {
+  z_stream zs{};
+  EXPECT_EQ(deflateInit2(&zs, level, Z_DEFLATED, -15, 8, strategy), Z_OK);
+  std::string body(deflateBound(&zs, raw.size()), '\0');
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(raw.data()));
+  zs.avail_in = static_cast<uInt>(raw.size());
+  zs.next_out = reinterpret_cast<Bytef*>(body.data());
+  zs.avail_out = static_cast<uInt>(body.size());
+  EXPECT_EQ(deflate(&zs, Z_FINISH), Z_STREAM_END);
+  body.resize(zs.total_out);
+  deflateEnd(&zs);
+  return body;
+}
+
+/// A DEFLATE bit stream written least significant bit first; Huffman codes
+/// go most significant bit first, as RFC 1951 packs them.
+class BitWriter {
+ public:
+  BitWriter& bits(std::uint32_t value, int count) {
+    for (int i = 0; i < count; ++i) push((value >> i) & 1);
+    return *this;
+  }
+  BitWriter& code(std::uint32_t value, int length) {
+    for (int i = length - 1; i >= 0; --i) push((value >> i) & 1);
+    return *this;
+  }
+  BitWriter& align() {
+    while (used_ != 0) push(0);
+    return *this;
+  }
+  BitWriter& byte(std::uint8_t value) { return bits(value, 8); }
+  std::string done() const {
+    std::string out = bytes_;
+    if (used_ != 0) out += static_cast<char>(partial_);
+    return out;
+  }
+
+ private:
+  void push(std::uint32_t bit) {
+    partial_ |= static_cast<std::uint8_t>(bit << used_);
+    if (++used_ == 8) {
+      bytes_ += static_cast<char>(partial_);
+      partial_ = 0;
+      used_ = 0;
+    }
+  }
+  std::string bytes_;
+  std::uint8_t partial_ = 0;
+  int used_ = 0;
+};
+
+/// A dynamic block header: code-length code `precode` (19 lengths, symbol
+/// order), then `lens` (literal/length then distance lengths, `nlen` of
+/// them literal/length) written with it as plain 0..15 symbols.
+void dynamic_header(BitWriter& w, bool final_block,
+                    const std::vector<std::uint8_t>& lens, unsigned nlen,
+                    const std::array<std::uint8_t, 19>& precode) {
+  static constexpr std::uint8_t kOrder[19] = {16, 17, 18, 0, 8,  7, 9,
+                                              6,  10, 5,  11, 4, 12, 3,
+                                              13, 2,  14, 1,  15};
+  w.bits(final_block ? 1 : 0, 1).bits(2, 2);
+  const auto ndist = static_cast<std::uint32_t>(lens.size() - nlen);
+  w.bits(nlen - 257, 5).bits(ndist - 1, 5);
+  w.bits(19 - 4, 4);
+  for (const std::uint8_t symbol : kOrder) w.bits(precode[symbol], 3);
+  // Canonical codes of the code-length code.
+  std::array<std::uint32_t, 19> codes{};
+  std::uint32_t next = 0;
+  for (int len = 1; len <= 7; ++len, next <<= 1) {
+    for (int s = 0; s < 19; ++s) {
+      if (precode[s] == len) codes[s] = next++;
+    }
+  }
+  for (const std::uint8_t len : lens) w.code(codes[len], precode[len]);
+}
+
+/// The code-length code with symbols 0..15 at four bits (complete).
+std::array<std::uint8_t, 19> plain_precode() {
+  std::array<std::uint8_t, 19> precode{};
+  for (int s = 0; s < 16; ++s) precode[s] = 4;
+  return precode;
+}
+
+/// Lengths (258 literal/length, then one distance) for a small complete
+/// code: end of block '0', 'A' '10', length 3 (symbol 257) '11'; one
+/// distance code, distance 1, '0' (the legal single-code distance tree).
+std::vector<std::uint8_t> small_code_lens() {
+  std::vector<std::uint8_t> lens(258 + 1, 0);
+  lens[256] = 1;
+  lens['A'] = 2;
+  lens[257] = 2;
+  lens[258] = 1;  // the distance code
+  return lens;
+}
+
+TEST(InflateDifferentialTest, CorpusAgreesWithZlib) {
+  // The deflate_ files' outcomes ("" = accepted), pinned so that each keeps
+  // reaching the case it was made for.
+  const std::map<std::string, std::string> deflate_outcomes = {
+      {"deflate_stored_blocks.bin", ""},
+      {"deflate_fixed_huffman.bin", ""},
+      {"deflate_single_distance_code.bin", ""},
+      {"deflate_distance_too_far.bin", "invalid distance too far back"},
+      {"deflate_truncated_dynamic_header.bin", "truncated deflate stream"}};
+  int checked = 0;
+  for (const auto& file :
+       std::filesystem::directory_iterator(DOCKMINE_CORPUS_DIR)) {
+    const std::string name = file.path().filename().string();
+    if (name.rfind("gzip_", 0) != 0 && name.rfind("layer_", 0) != 0 &&
+        name.rfind("deflate_", 0) != 0) {
+      continue;
+    }
+    const std::string blob = read_corpus(name);
+    const std::string outcome = expect_same_as_zlib(blob, name);
+    if (name.rfind("deflate_", 0) == 0) {
+      ASSERT_EQ(deflate_outcomes.count(name), 1u) << name;
+      EXPECT_EQ(outcome, deflate_outcomes.at(name)) << name;
+    }
+    // Every shorter member: the decoder must call truncation where zlib
+    // does, whatever the missing bits would have decoded to.
+    for (std::size_t keep = 0; keep < blob.size(); ++keep) {
+      expect_same_as_zlib(std::string_view(blob).substr(0, keep),
+                          name + " cut to " + std::to_string(keep));
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 9);
+}
+
+TEST(InflateDifferentialTest, EveryLevelAndStrategyAgreesWithZlib) {
+  util::Rng rng(0xDEF1A7E);
+  std::string mixed = compress::generate(96 * 1024, 2.6, rng);
+  mixed.append(std::string(40 * 1024, '\0'));
+  std::string noise;
+  compress::append_random(noise, 24 * 1024, rng);
+  mixed.append(noise);
+  mixed.append(compress::generate(160 * 1024, 30.0, rng, /*ascii_safe=*/true));
+  const std::string inputs[] = {std::string(), "a", std::string(300, 'z'),
+                                mixed};
+  int members = 0;
+  for (const std::string& raw : inputs) {
+    for (int level = 0; level <= 9; ++level) {
+      for (const int strategy : {Z_DEFAULT_STRATEGY, Z_FILTERED,
+                                 Z_HUFFMAN_ONLY, Z_RLE, Z_FIXED}) {
+        const std::string member =
+            gzip_member(zlib_deflate(raw, level, strategy), raw);
+        const std::string label =
+            std::to_string(raw.size()) + " bytes, level " +
+            std::to_string(level) + ", strategy " + std::to_string(strategy);
+        EXPECT_EQ(expect_same_as_zlib(member, label), "") << label;
+        // The cap at, and one byte under, the payload's size.
+        EXPECT_EQ(expect_same_as_zlib(member, label + ", capped", raw.size()),
+                  "");
+        if (!raw.empty()) {
+          EXPECT_EQ(expect_same_as_zlib(member, label + ", capped short",
+                                        raw.size() - 1),
+                    "decompressed size exceeds cap");
+        }
+        ++members;
+      }
+    }
+  }
+  EXPECT_EQ(members, 4 * 10 * 5);
+}
+
+TEST(InflateDifferentialTest, EachFaultClassAgreesWithZlib) {
+  struct Case {
+    std::string name;
+    std::string body;
+    std::string payload;  ///< what the trailer describes
+    std::string expect;   ///< the message both must give ("" = accepted)
+  };
+  std::vector<Case> cases;
+  const auto add = [&](std::string name, const BitWriter& w,
+                       std::string expect, std::string payload = "") {
+    cases.push_back({std::move(name), w.done(), std::move(payload),
+                     std::move(expect)});
+  };
+
+  {  // The small dynamic code: 'A', then a 3-byte match at distance 1.
+    BitWriter w;
+    dynamic_header(w, true, small_code_lens(), 258, plain_precode());
+    w.code(0b10, 2).code(0b11, 2).code(0, 1).code(0, 1);
+    add("single distance code", w, "", "AAAA");
+  }
+  {  // The same code, but the distance tree's unused one-bit pattern.
+    BitWriter w;
+    dynamic_header(w, true, small_code_lens(), 258, plain_precode());
+    w.code(0b10, 2).code(0b11, 2).code(1, 1).code(0, 1);
+    add("unused distance code", w, "invalid distance code");
+  }
+  {  // No distance codes at all: legal until a match needs one.
+    std::vector<std::uint8_t> lens = small_code_lens();
+    lens[258] = 0;
+    BitWriter w;
+    dynamic_header(w, true, lens, 258, plain_precode());
+    w.code(0b10, 2).code(0, 1);
+    add("empty distance tree, literals", w, "", "A");
+    BitWriter m;
+    dynamic_header(m, true, lens, 258, plain_precode());
+    m.code(0b10, 2).code(0b11, 2).code(0, 1);
+    add("empty distance tree, a match", m, "invalid distance code");
+  }
+  {
+    BitWriter w;
+    w.bits(1, 1).bits(3, 2);
+    add("block type 3", w, "invalid block type");
+  }
+  {
+    BitWriter w;
+    w.bits(1, 1).bits(0, 2).align().bits(5, 16).bits(0, 16);
+    add("stored LEN/NLEN mismatch", w, "invalid stored block lengths");
+  }
+  {
+    BitWriter w;
+    w.bits(1, 1).bits(2, 2).bits(30, 5).bits(0, 5).bits(0, 4);
+    add("287 literal/length codes", w, "too many length or distance symbols");
+  }
+  {
+    std::array<std::uint8_t, 19> precode = plain_precode();
+    precode[16] = 4;  // 17 four-bit codes
+    BitWriter w;
+    dynamic_header(w, true, small_code_lens(), 258, precode);
+    add("over-subscribed code-length code", w, "invalid code lengths set");
+    precode[16] = 0;
+    precode[15] = 0;  // 15 four-bit codes
+    BitWriter v;
+    dynamic_header(v, true, small_code_lens(), 258, precode);
+    add("incomplete code-length code", v, "invalid code lengths set");
+  }
+  {
+    std::vector<std::uint8_t> lens = small_code_lens();
+    lens['B'] = 1;
+    BitWriter w;
+    dynamic_header(w, true, lens, 258, plain_precode());
+    add("over-subscribed literal/length code", w,
+        "invalid literal/lengths set");
+    lens['B'] = 0;
+    lens[257] = 0;
+    BitWriter v;
+    dynamic_header(v, true, lens, 258, plain_precode());
+    add("incomplete literal/length code", v, "invalid literal/lengths set");
+  }
+  {
+    std::vector<std::uint8_t> lens = small_code_lens();
+    lens[258] = 2;  // one two-bit distance code: incomplete, not a lone bit
+    BitWriter w;
+    dynamic_header(w, true, lens, 258, plain_precode());
+    add("incomplete distance code", w, "invalid distances set");
+  }
+  {  // The first code length is "repeat the previous one".
+    std::array<std::uint8_t, 19> precode = plain_precode();
+    precode[15] = 0;
+    precode[16] = 4;
+    BitWriter w;
+    w.bits(1, 1).bits(2, 2).bits(0, 5).bits(0, 5).bits(15, 4);
+    static constexpr std::uint8_t kOrder[19] = {16, 17, 18, 0, 8,  7, 9,
+                                                6,  10, 5,  11, 4, 12, 3,
+                                                13, 2,  14, 1,  15};
+    for (const std::uint8_t symbol : kOrder) w.bits(precode[symbol], 3);
+    w.code(0b1111, 4).bits(0, 2);
+    add("repeat with no previous length", w, "invalid bit length repeat");
+  }
+  {
+    std::vector<std::uint8_t> lens = small_code_lens();
+    lens[256] = 0;
+    lens['B'] = 1;
+    lens[257] = 0;
+    lens['A'] = 1;
+    BitWriter w;
+    dynamic_header(w, true, lens, 258, plain_precode());
+    add("no end-of-block code", w, "invalid code -- missing end-of-block");
+  }
+  {  // Fixed code: a match before any byte was produced.
+    BitWriter w;
+    w.bits(1, 1).bits(1, 2).code(0b0000001, 7).code(0, 5);
+    add("distance past the bytes produced", w, "invalid distance too far back");
+  }
+  {
+    BitWriter w;
+    w.bits(1, 1).bits(1, 2).code(0b00110000 + 'x', 8).code(0b11000110, 8);
+    add("fixed literal/length symbol 286", w, "invalid literal/length code");
+    BitWriter v;
+    v.bits(1, 1).bits(1, 2).code(0b00110000 + 'x', 8).code(0b0000001, 7);
+    v.code(30, 5);
+    add("fixed distance symbol 30", v, "invalid distance code");
+  }
+  {  // Truncations: a dynamic header, a stored block, Huffman data.
+    BitWriter w;
+    dynamic_header(w, true, small_code_lens(), 258, plain_precode());
+    const std::string header = w.done();
+    cases.push_back({"cut in a block header",
+                     header.substr(0, header.size() / 2), "",
+                     "truncated deflate stream"});
+    BitWriter s;
+    s.bits(1, 1).bits(0, 2).align().bits(100, 16).bits(~100u & 0xffff, 16);
+    for (int i = 0; i < 10; ++i) s.byte('s');
+    add("cut in a stored block", s, "truncated deflate stream");
+    BitWriter h;
+    h.bits(1, 1).bits(1, 2);
+    for (const char c : std::string("literals, then no end of block")) {
+      h.code(0b00110000 + static_cast<unsigned char>(c), 8);
+    }
+    add("cut in Huffman data", h, "truncated deflate stream");
+  }
+
+  for (const Case& c : cases) {
+    const std::string member = gzip_member(c.body, c.payload);
+    EXPECT_EQ(expect_same_as_zlib(member, c.name), c.expect) << c.name;
+    // Cut anywhere, each stream is truncated (or still at fault) for both.
+    for (std::size_t keep = 0; keep < c.body.size(); ++keep) {
+      expect_same_as_zlib(gzip_member(c.body.substr(0, keep), c.payload),
+                          c.name + " cut to " + std::to_string(keep));
+    }
+  }
+}
+
+TEST(InflateDifferentialTest, SeededLayerMutantsAgreeWithZlib) {
+  // Materialized layers of a few windows at the pipeline's gzip level 1 and
+  // at 6, so mutants land in stored, fixed and dynamic blocks alike.
+  const synth::HubModel hub(synth::Calibration::light(), synth::Scale{40, 3});
+  const synth::Materializer materializer(hub, /*gzip_level=*/1);
+  std::vector<std::string> blobs;
+  for (const synth::LayerId id : hub.unique_layers()) {
+    const std::string tar = materializer.layer_tar(hub.layer_spec(id));
+    if (tar.size() < 64 * 1024 ||
+        tar.size() > 3 * compress::GzipReader::kWindowBytes) {
+      continue;
+    }
+    const int level = blobs.size() % 2 == 0 ? 1 : 6;
+    blobs.push_back(compress::gzip_compress(tar, level).value());
+    if (blobs.size() == 4) break;
+  }
+  ASSERT_EQ(blobs.size(), 4u);
+
+  // A mutant can decode to far more than its layer; the cap keeps both
+  // sides' output small and is itself a fault they must agree on.
+  constexpr std::uint64_t kCap = 4 * compress::GzipReader::kWindowBytes;
+  util::Rng rng(20170530);
+  std::map<std::string, int> outcomes;
+  for (std::size_t b = 0; b < blobs.size(); ++b) {
+    const std::string& blob = blobs[b];
+    for (int i = 0; i < 40; ++i) {
+      const std::string tag =
+          "layer " + std::to_string(b) + " mutant " + std::to_string(i);
+      std::string flipped = blob;  // one bit flipped
+      flipped[rng.uniform(blob.size())] ^=
+          static_cast<char>(1u << rng.uniform(8));
+      ++outcomes[expect_same_as_zlib(flipped, tag + " bit flip", kCap)];
+
+      ++outcomes[expect_same_as_zlib(  // truncated
+          std::string_view(blob).substr(0, rng.uniform(blob.size())),
+          tag + " truncated", kCap)];
+
+      std::string overwritten = blob;  // a few bytes overwritten
+      for (int k = 0, n = 1 + static_cast<int>(rng.uniform(4)); k < n; ++k) {
+        overwritten[rng.uniform(blob.size())] =
+            static_cast<char>(rng.uniform(256));
+      }
+      ++outcomes[expect_same_as_zlib(overwritten, tag + " overwrite", kCap)];
+
+      std::string early = blob;  // a flip in the header and first blocks
+      early[rng.uniform(64)] ^= static_cast<char>(1u << rng.uniform(8));
+      ++outcomes[expect_same_as_zlib(early, tag + " early flip", kCap)];
+    }
+  }
+  EXPECT_EQ(outcomes.count("disagree"), 0u);
+  // The mutants reach truncation, DEFLATE faults and the trailer checks.
+  EXPECT_GT(outcomes["truncated deflate stream"], 0);
+  EXPECT_GT(outcomes["gzip CRC mismatch"], 0);
+  int deflate_faults = 0;
+  for (const auto& [outcome, count] : outcomes) {
+    if (outcome.rfind("invalid", 0) == 0) deflate_faults += count;
+  }
+  EXPECT_GT(deflate_faults, 0);
 }
 
 }  // namespace

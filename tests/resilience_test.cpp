@@ -469,6 +469,61 @@ TEST(CheckpointTest, ResumeSkipsCompletedWorkWithoutRefetching) {
   EXPECT_EQ(blob_requests_made, stats.layers_fetched);
 }
 
+TEST(CheckpointTest, DamagedCheckpointedLayerIsFetchedAgain) {
+  // The analyzer takes each delivered blob's manifest digest as its own, so
+  // a layer read back from the checkpoint must be verified again: one
+  // damaged on disk is fetched from the registry instead.
+  Fixture& fx = Fixture::get();
+  TempDir dir("dockmine_resilience_ckpt_damaged");
+
+  std::vector<std::string> downloadable;
+  for (const auto& spec : fx.hub.repositories()) {
+    if (spec.has_latest && !spec.requires_auth) downloadable.push_back(spec.name);
+  }
+  ASSERT_GT(downloadable.size(), 4u);
+  const std::vector<std::string> first_half(
+      downloadable.begin(), downloadable.begin() + downloadable.size() / 2);
+  {
+    auto checkpoint = downloader::Checkpoint::open(dir.path);
+    ASSERT_TRUE(checkpoint.ok());
+    downloader::Options options;
+    options.workers = 4;
+    options.checkpoint = &checkpoint.value();
+    downloader::Downloader phase1(fx.service, options);
+    EXPECT_EQ(phase1.run(first_half, nullptr).succeeded, first_half.size());
+  }
+  int damaged = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir.path / "blobs")) {
+    if (entry.is_regular_file() && entry.path().filename() == "data") {
+      std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+          << "damaged on disk";
+      ++damaged;
+    }
+  }
+  ASSERT_GT(damaged, 0);
+
+  auto checkpoint = downloader::Checkpoint::open(dir.path);
+  ASSERT_TRUE(checkpoint.ok());
+  downloader::Options options;
+  options.workers = 4;
+  options.checkpoint = &checkpoint.value();
+  downloader::Downloader phase2(fx.service, options);
+  std::size_t layers_delivered = 0;
+  const auto stats = phase2.run(downloadable, [&](downloader::DownloadedImage&&
+                                                      image) {
+    for (std::size_t i = 0; i < image.manifest.layers.size(); ++i) {
+      ASSERT_NE(image.layer_blobs[i], nullptr);
+      EXPECT_EQ(digest::Digest::of(*image.layer_blobs[i]),
+                image.manifest.layers[i].digest);
+      ++layers_delivered;
+    }
+  });
+  EXPECT_EQ(stats.succeeded, downloadable.size() - first_half.size());
+  EXPECT_EQ(stats.layers_resumed, 0u);
+  EXPECT_GT(layers_delivered, 0u);
+}
+
 TEST(CheckpointTest, TornTrailingJournalLineIsDropped) {
   TempDir dir("dockmine_resilience_torn");
   {
