@@ -1,11 +1,7 @@
 #include "dockmine/compress/gzip.h"
 
-#include <zlib.h>
-
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cstring>
 #include <limits>
 
 #include "dockmine/compress/crc32.h"
@@ -36,13 +32,6 @@ std::uint32_t get_le32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-/// zlib counts the bytes it may read or write in a 32-bit `uInt`, so a
-/// buffer is handed over in slices of at most UINT_MAX bytes.
-uInt zlib_slice(std::size_t remaining) {
-  return static_cast<uInt>(
-      std::min<std::size_t>(remaining, std::numeric_limits<uInt>::max()));
-}
-
 /// One byte past the cap, the byte that proves it exceeded: the most a
 /// buffer collecting a capped payload ever needs.
 std::uint64_t output_limit(std::uint64_t max_output) {
@@ -52,28 +41,12 @@ std::uint64_t output_limit(std::uint64_t max_output) {
 
 }  // namespace
 
-struct GzipWriter::Deflate {
-  z_stream zs{};
-  bool initialized = false;
-  bool used = false;  ///< a member was begun, so the next needs a reset
-  std::array<char, 16 * 1024> chunk{};  ///< deflate's output, then appended
-  ~Deflate() {
-    if (initialized) deflateEnd(&zs);
-  }
-};
-
 GzipWriter::GzipWriter(int level) : level_(level) {
   if (level < 1 || level > 9) {
     status_ = util::invalid_argument("gzip level must be 1..9");
     return;
   }
-  deflate_ = std::make_unique<Deflate>();
-  if (deflateInit2(&deflate_->zs, level, Z_DEFLATED, /*windowBits=*/-15,
-                   /*memLevel=*/8, Z_DEFAULT_STRATEGY) != Z_OK) {
-    status_ = util::internal("deflateInit2 failed");
-    return;
-  }
-  deflate_->initialized = true;
+  deflater_ = std::make_unique<Deflater>(level);
 }
 
 GzipWriter::~GzipWriter() = default;
@@ -83,11 +56,6 @@ void GzipWriter::begin(std::string& out) {
   size_ = 0;
   crc_.reset();
   if (!status_.ok()) return;
-  if (deflate_->used && deflateReset(&deflate_->zs) != Z_OK) {
-    status_ = util::internal("deflateReset failed");
-    return;
-  }
-  deflate_->used = true;
   out += static_cast<char>(kMagic1);
   out += static_cast<char>(kMagic2);
   out += static_cast<char>(kMethodDeflate);
@@ -95,6 +63,7 @@ void GzipWriter::begin(std::string& out) {
   put_le32(out, 0);  // MTIME: 0 => no timestamp (reproducible)
   out += static_cast<char>(level_ == 9 ? 2 : level_ == 1 ? 4 : 0);  // XFL
   out += static_cast<char>(0xff);  // OS: unknown
+  deflater_->begin(out);
 }
 
 void GzipWriter::write(std::string_view piece) {
@@ -102,59 +71,30 @@ void GzipWriter::write(std::string_view piece) {
   if (!status_.ok() || piece.empty()) return;
   crc_.update(piece);
   size_ += piece.size();
-  z_stream& zs = deflate_->zs;
-  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(piece.data()));
-  const Bytef* const end = zs.next_in + piece.size();
-  do {
-    zs.avail_in = zlib_slice(end - zs.next_in);
-    deflate_step(Z_NO_FLUSH);
-  } while (status_.ok() && zs.next_in != end);
+  deflater_->write(piece);
 }
 
 util::Status GzipWriter::finish() {
   assert(out_ != nullptr);
-  if (status_.ok()) {
-    deflate_->zs.next_in = Z_NULL;
-    deflate_->zs.avail_in = 0;
-    deflate_step(Z_FINISH);
-  }
   if (!status_.ok()) return status_;
+  deflater_->finish();
   put_le32(*out_, crc_.value());
   put_le32(*out_, static_cast<std::uint32_t>(size_ & 0xffffffffULL));
   out_ = nullptr;
   return util::Status::success();
 }
 
-/// Run deflate over the pending input with `flush`, appending its output to
-/// the member. Returns once the input is consumed (for Z_FINISH, once the
-/// stream has ended).
-void GzipWriter::deflate_step(int flush) {
-  z_stream& zs = deflate_->zs;
-  char* const chunk = deflate_->chunk.data();
-  for (;;) {
-    zs.next_out = reinterpret_cast<Bytef*>(chunk);
-    zs.avail_out = static_cast<uInt>(deflate_->chunk.size());
-    const int rc = deflate(&zs, flush);
-    out_->append(chunk, deflate_->chunk.size() - zs.avail_out);
-    if (rc == Z_STREAM_END) return;
-    if (rc != Z_OK && rc != Z_BUF_ERROR) {
-      status_ =
-          util::internal("deflate failed (rc=" + std::to_string(rc) + ")");
-      return;
-    }
-    if (flush != Z_FINISH && zs.avail_in == 0 && zs.avail_out != 0) return;
-  }
-}
-
 std::uint64_t gzip_bound(std::uint64_t raw_size) {
-  // compressBound covers a zlib stream (6 bytes of framing around DEFLATE);
-  // a gzip member frames it in 18.
-  return compressBound(static_cast<uLong>(raw_size)) + 18;
+  // zlib 1.2.13's compressBound covers a zlib stream (6 bytes of framing
+  // around DEFLATE); a gzip member frames it in 18.
+  return raw_size + (raw_size >> 12) + (raw_size >> 14) + (raw_size >> 25) +
+         13 + 18;
 }
 
 util::Result<std::string> gzip_compress(std::string_view raw, int level) {
   GzipWriter writer(level);
   std::string member;
+  member.reserve(gzip_bound(raw.size()));  // the encoder never reallocates it
   writer.begin(member);
   writer.write(raw);
   if (auto done = writer.finish(); !done.ok()) return done.error();

@@ -3,10 +3,11 @@
 // Docker layers travel as "gzip compressed tar archives" (paper §III-B).
 // We produce and parse the gzip container ourselves — 10-byte header,
 // optional FEXTRA/FNAME/FCOMMENT/FHCRC fields, CRC-32 + ISIZE trailer.
-// Compression delegates the DEFLATE bitstream to zlib (windowBits = -15),
-// whose output every blob digest is pinned to; decompression runs the
-// in-tree streaming decoder (`Inflater`, compress/inflate.h), which agrees
-// with zlib's inflate on every stream.
+// Compression runs the in-tree encoder (`Deflater`, compress/deflate.h),
+// which writes the bytes zlib 1.2.13's raw deflate writes and to which every
+// blob digest is pinned; decompression runs the in-tree streaming decoder
+// (`Inflater`, compress/inflate.h), which agrees with zlib's inflate on
+// every stream.
 #pragma once
 
 #include <cstdint>
@@ -15,13 +16,16 @@
 #include <string_view>
 
 #include "dockmine/compress/crc32.h"
+#include "dockmine/compress/deflate.h"
 #include "dockmine/compress/inflate.h"
 #include "dockmine/util/error.h"
 
 namespace dockmine::compress {
 
-/// zlib compression level 1..9 (6 is the gzip default Docker uses).
-inline constexpr int kDefaultLevel = 6;
+/// Compression level 1..9, as zlib numbers them. 1 is what every job, CLI
+/// verb and registry builds with; a caller that wants gzip's own default
+/// (6) names it.
+inline constexpr int kDefaultLevel = 1;
 
 /// Compress `raw` into one complete gzip member: a GzipWriter fed one
 /// piece.
@@ -29,17 +33,18 @@ util::Result<std::string> gzip_compress(std::string_view raw,
                                         int level = kDefaultLevel);
 
 /// The most bytes a gzip member of a `raw_size`-byte payload can take, at
-/// any level: header, DEFLATE's worst case, trailer.
+/// any level: header, DEFLATE's worst case, trailer. zlib's compressBound
+/// (a zlib stream's bound) plus the 18 bytes of gzip framing.
 std::uint64_t gzip_bound(std::uint64_t raw_size);
 
 /// One gzip member deflated incrementally: begin() appends the header to a
 /// caller's string, write() deflates the payload in pieces of any size, and
 /// finish() flushes DEFLATE and appends CRC-32 and ISIZE. The member's bytes
-/// do not depend on how the payload is split. The deflate state is
-/// allocated once, by the constructor, and reused for every member (the
+/// do not depend on how the payload is split. The encoder's state is
+/// allocated once, by the constructor, and reset for every member (the
 /// materializer builds each gzip thread's writer on the calling thread so
-/// that thread never allocates it). Errors (an invalid level, a deflate
-/// failure) are sticky: every finish() after one reports it.
+/// that thread never allocates it). An invalid level is a sticky error:
+/// every finish() reports it.
 class GzipWriter {
  public:
   explicit GzipWriter(int level = kDefaultLevel);
@@ -59,16 +64,12 @@ class GzipWriter {
   util::Status finish();
 
  private:
-  struct Deflate;  // zlib's stream state, kept out of this header
-
-  void deflate_step(int flush);
-
   int level_;
   std::string* out_ = nullptr;
   std::uint64_t size_ = 0;
   Crc32 crc_;
   util::Status status_;
-  std::unique_ptr<Deflate> deflate_;
+  std::unique_ptr<Deflater> deflater_;  ///< none for an invalid level
 };
 
 /// Decompress one complete gzip member; verifies CRC-32 and ISIZE.

@@ -41,7 +41,7 @@ struct JobSpec {
   std::uint64_t repositories = 300;
   std::uint64_t seed = 20170530;
   bool light_calibration = true;  ///< light vs paper synth calibration
-  int gzip_level = 1;
+  int gzip_level = compress::kDefaultLevel;
   /// Threads of each pipeline stage (materialize's gzip, download, then
   /// analysis): 0 means every core of the machine that runs the lease,
   /// resolved there by lease_pipeline_options. Registries and reports are

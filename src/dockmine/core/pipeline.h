@@ -53,7 +53,7 @@ struct PipelineOptions {
   /// analyze_workers also sizes materialize's gzip threads.
   std::size_t download_workers = 0;
   std::size_t analyze_workers = 0;
-  int gzip_level = 6;
+  int gzip_level = compress::kDefaultLevel;
 
   /// Optional crash/resume record; not owned, must outlive the run. With a
   /// checkpoint attached, completed repositories are replayed from disk on

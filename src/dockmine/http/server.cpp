@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <system_error>
 
 #include "dockmine/obs/obs.h"
 #include "dockmine/util/stopwatch.h"
@@ -70,8 +71,18 @@ Server::Server(Handler handler, ServerOptions options)
 
 Server::Server(ProtocolFactory factory, ServerOptions options,
                std::string obs_prefix)
-    : factory_(std::move(factory)), options_(std::move(options)),
-      obs_prefix_(std::move(obs_prefix)) {}
+    : factory_(std::move(factory)),
+      options_(std::move(options)),
+      connections_total_(
+          obs::Registry::global().counter(obs_prefix + "_connections_total")),
+      active_sessions_(
+          obs::Registry::global().gauge(obs_prefix + "_active_sessions")),
+      rejected_total_(obs::Registry::global().counter(
+          obs_prefix + "_connections_rejected_total")),
+      slowloris_drops_total_(obs::Registry::global().counter(
+          obs_prefix + "_slowloris_drops_total")),
+      accept_retries_total_(obs::Registry::global().counter(
+          obs_prefix + "_accept_retries_total")) {}
 
 util::Status Server::bind() {
   if (listener_.port() != 0) return util::Status::success();
@@ -87,10 +98,6 @@ util::Status Server::start() {
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void Server::count(const char* series) const {
-  obs::Registry::global().counter(obs_prefix_ + series).add();
 }
 
 void Server::accept_loop() {
@@ -113,7 +120,7 @@ void Server::accept_loop() {
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping_.load(std::memory_order_acquire)) break;
     ++stats_.accept_retries;
-    count("_accept_retries_total");
+    accept_retries_total_.add();
     changed_.wait_for(lock, std::chrono::milliseconds(backoff), [this] {
       return stopping_.load(std::memory_order_acquire);
     });
@@ -125,19 +132,33 @@ void Server::admit(Socket socket) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (slots_.size() >= kMaxConnections) {
     ++stats_.rejected;
-    count("_connections_rejected_total");
+    rejected_total_.add();
     return;  // `socket` closes here: the peer reads EOF at once
   }
-  stats_.live = slots_.size() + 1;
-  stats_.peak_live = std::max(stats_.peak_live, stats_.live);
-  count("_connections_total");
-  obs::Registry::global().gauge(obs_prefix_ + "_active_sessions").add(1);
-  auto slot = std::make_unique<Slot>();
+  slots_.push_back(std::make_unique<Slot>());
+  Slot* const slot = slots_.back().get();
   slot->connection = std::make_shared<Connection>(std::move(socket));
-  // The thread's exit path takes `mutex_`, so it cannot run before its
-  // handle is stored.
-  slot->thread = std::thread([this, raw = slot.get()] { run_connection(raw); });
-  slots_.push_back(std::move(slot));
+  try {
+    if (options_.thread_start_injector && options_.thread_start_injector()) {
+      throw std::system_error(
+          std::make_error_code(std::errc::resource_unavailable_try_again),
+          "injected thread start failure");
+    }
+    // The thread's exit path takes `mutex_`, so it cannot run before its
+    // handle is stored.
+    slot->thread = std::thread([this, slot] { run_connection(slot); });
+  } catch (const std::system_error&) {
+    // No thread to serve it: shed it as the cap does. The connection
+    // closes with its slot, so the peer reads EOF at once.
+    slots_.pop_back();
+    ++stats_.rejected;
+    rejected_total_.add();
+    return;
+  }
+  stats_.live = slots_.size();
+  stats_.peak_live = std::max(stats_.peak_live, stats_.live);
+  connections_total_.add();
+  active_sessions_.add(1);
 }
 
 void Server::run_connection(Slot* slot) {
@@ -157,9 +178,7 @@ void Server::run_connection(Slot* slot) {
       return s.get() == slot;
     }));
     stats_.live = slots_.size();
-    obs::Registry::global()
-        .gauge(obs_prefix_ + "_active_sessions")
-        .sub(1);
+    active_sessions_.sub(1);
   }
   changed_.notify_all();
   if (previous.joinable()) previous.join();
@@ -188,7 +207,7 @@ void Server::pump(Connection& connection, Protocol& protocol) {
       // A message dribbling in for longer than any honest peer takes.
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.partial_drops;
-      count("_slowloris_drops_total");
+      slowloris_drops_total_.add();
       return;
     }
   }

@@ -40,6 +40,11 @@
 #include "dockmine/http/message.h"
 #include "dockmine/http/socket.h"
 
+namespace dockmine::obs {
+class Counter;
+class Gauge;
+}  // namespace dockmine::obs
+
 namespace dockmine::http {
 
 /// Well above every in-repo client: bench_serve's 8, bench_abl_http's 8
@@ -87,11 +92,15 @@ struct ServerOptions {
   /// Test hook: consulted before each accept; a returned error is handled
   /// exactly like a failed accept.
   std::function<std::optional<util::Error>()> accept_error_injector;
+  /// Test hook: consulted before each connection thread starts; true fails
+  /// the start exactly as a system that refuses a thread does.
+  std::function<bool()> thread_start_injector;
 };
 
 /// The server's own counts, kept with obs compiled out too.
 struct ServerStats {
-  std::uint64_t rejected = 0;  ///< closed at once: the cap was full
+  /// Closed at once: the cap was full, or its thread could not start.
+  std::uint64_t rejected = 0;
   std::uint64_t accept_retries = 0;
   std::uint64_t partial_drops = 0;
   std::size_t live = 0;  ///< connection threads running now
@@ -138,11 +147,15 @@ class Server {
   void run_connection(Slot* slot);
   /// Read until EOF, a reset, a protocol error, the deadline or stop().
   void pump(Connection& connection, Protocol& protocol);
-  void count(const char* series) const;  ///< adds 1 to <prefix><series>
 
   ProtocolFactory factory_;
   ServerOptions options_;
-  std::string obs_prefix_;
+  // The obs series, resolved once by the constructor.
+  obs::Counter& connections_total_;
+  obs::Gauge& active_sessions_;
+  obs::Counter& rejected_total_;
+  obs::Counter& slowloris_drops_total_;
+  obs::Counter& accept_retries_total_;
   Listener listener_;
   std::thread acceptor_;
   std::atomic<bool> stopping_{false};

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "dockmine/compress/gzip.h"
 #include "dockmine/registry/service.h"
 #include "dockmine/synth/generator.h"
 #include "dockmine/synth/versions.h"
@@ -32,7 +33,8 @@ class Materializer {
   /// `threads` gzip threads build the layers push() pushes; 0 means every
   /// core, like JobSpec::threads. The registry push() builds does not
   /// depend on the count.
-  explicit Materializer(const HubModel& hub, int gzip_level = 6,
+  explicit Materializer(const HubModel& hub,
+                        int gzip_level = compress::kDefaultLevel,
                         std::size_t threads = 0)
       : hub_(hub), gzip_level_(gzip_level), threads_(threads) {}
 

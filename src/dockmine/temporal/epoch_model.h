@@ -93,7 +93,8 @@ class EpochModel {
 /// the lifecycle a real registry sees.
 class EvolvingRegistry {
  public:
-  EvolvingRegistry(const EpochModel& model, int gzip_level = 6)
+  EvolvingRegistry(const EpochModel& model,
+                   int gzip_level = compress::kDefaultLevel)
       : model_(model),
         materializer_(model.hub(), gzip_level) {}
 

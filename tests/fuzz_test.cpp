@@ -1351,5 +1351,185 @@ TEST(InflateDifferentialTest, SeededLayerMutantsAgreeWithZlib) {
   EXPECT_GT(deflate_faults, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Differential test of the DEFLATE encoder against zlib. The reference is
+// zlib 1.2.13's raw deflate (deflateInit2(level, Z_DEFLATED, -15, 8,
+// Z_DEFAULT_STRATEGY)) fed the same pieces with Z_NO_FLUSH, then Z_FINISH:
+// GzipWriter's member must carry exactly its bytes between the gzip header
+// and trailer, and fit gzip_bound. One writer per level is reused for every
+// member, as the materializer reuses its writers.
+// ---------------------------------------------------------------------------
+
+/// Piece sizes: each piece draws 1..max bytes (max 0: the input whole).
+std::vector<std::size_t> piece_sizes(std::size_t total, std::size_t max_piece,
+                                     util::Rng& rng) {
+  std::vector<std::size_t> pieces;
+  if (max_piece == 0) max_piece = std::max<std::size_t>(total, 1);
+  for (std::size_t at = 0; at < total;) {
+    const std::size_t take =
+        std::min<std::size_t>(total - at, 1 + rng.uniform(max_piece));
+    pieces.push_back(take);
+    at += take;
+  }
+  return pieces;
+}
+
+/// zlib's raw deflate of `raw`, fed in `pieces`.
+std::string zlib_deflate_in(std::string_view raw, int level,
+                            const std::vector<std::size_t>& pieces) {
+  z_stream zs{};
+  EXPECT_EQ(deflateInit2(&zs, level, Z_DEFLATED, -15, 8, Z_DEFAULT_STRATEGY),
+            Z_OK);
+  std::string body(deflateBound(&zs, raw.size()), '\0');
+  zs.next_out = reinterpret_cast<Bytef*>(body.data());
+  zs.avail_out = static_cast<uInt>(body.size());
+  std::size_t at = 0;
+  for (const std::size_t piece : pieces) {
+    zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(raw.data() + at));
+    zs.avail_in = static_cast<uInt>(piece);
+    EXPECT_EQ(deflate(&zs, Z_NO_FLUSH), Z_OK);
+    EXPECT_EQ(zs.avail_in, 0u);
+    at += piece;
+  }
+  EXPECT_EQ(deflate(&zs, Z_FINISH), Z_STREAM_END);
+  body.resize(zs.total_out);
+  deflateEnd(&zs);
+  return body;
+}
+
+/// Deflate `raw` in pieces of 1..max_piece bytes (0: whole) with `writer`
+/// and with zlib; any differing byte fails. Returns false on a difference.
+bool expect_deflate_same_as_zlib(compress::GzipWriter& writer, int level,
+                                 std::string_view raw, std::size_t max_piece,
+                                 util::Rng& rng, const std::string& label) {
+  const std::vector<std::size_t> pieces =
+      piece_sizes(raw.size(), max_piece, rng);
+  std::string member;
+  writer.begin(member);
+  std::size_t at = 0;
+  for (const std::size_t piece : pieces) {
+    writer.write(raw.substr(at, piece));
+    at += piece;
+  }
+  EXPECT_TRUE(writer.finish().ok()) << label;
+  const std::string zlib = zlib_deflate_in(raw, level, pieces);
+  EXPECT_LE(member.size(), compress::gzip_bound(raw.size())) << label;
+  if (member.size() < 18 ||
+      std::string_view(member).substr(10, member.size() - 18) != zlib) {
+    std::size_t same = 0;
+    const std::string_view body =
+        std::string_view(member).substr(10, member.size() - 18);
+    while (same < body.size() && same < zlib.size() && body[same] == zlib[same]) {
+      ++same;
+    }
+    ADD_FAILURE() << label << ": " << body.size() << " bytes vs zlib's "
+                  << zlib.size() << ", first difference at byte " << same;
+    return false;
+  }
+  return true;
+}
+
+TEST(DeflateDifferentialTest, GzipBoundIsZlibsCompressBoundPlusFraming) {
+  for (std::uint64_t n = 0; n < 70000; n += 1 + n / 64) {
+    EXPECT_EQ(compress::gzip_bound(n), compressBound(n) + 18) << n;
+  }
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 25, (std::uint64_t{1} << 32) + 12345,
+        std::uint64_t{1} << 40}) {
+    EXPECT_EQ(compress::gzip_bound(n), compressBound(n) + 18) << n;
+  }
+}
+
+TEST(DeflateDifferentialTest, SmallInputsAgreeWithZlibAtEveryLevelAndPiece) {
+  util::Rng rng(0xDEF1A7E5);
+  std::vector<std::pair<std::string, std::string>> inputs = {
+      {"empty", std::string()},
+      {"one byte", "a"},
+      {"258 bytes", std::string(258, 'x')},
+      {"259 bytes", std::string(259, 'x')}};
+  // One block's worth of literals, exactly and one past; then runs that
+  // cross the 32 KiB slide (64 KiB of window less the lookahead) and block
+  // ends in the middle of matches.
+  std::string noise;
+  compress::append_random(noise, compress::Deflater::kLitBufSize, rng);
+  inputs.emplace_back("16383 random bytes", noise.substr(0, 16383));
+  inputs.emplace_back("16384 random bytes", noise);
+  inputs.emplace_back("text across the slide",
+                      compress::generate(80 * 1024, 3.0, rng, true));
+  std::string zeros_then_noise(70 * 1024, '\0');
+  compress::append_random(zeros_then_noise, 20 * 1024, rng);
+  inputs.emplace_back("zeros then noise", zeros_then_noise);
+  // GzipWriterTest.AnyPieceSizeGivesTheSameMember's inputs.
+  util::Rng writer_rng(0x6E71);
+  std::string incompressible;
+  compress::append_random(incompressible, 96 * 1024, writer_rng);
+  inputs.emplace_back("incompressible", incompressible);
+  inputs.emplace_back("160 KiB of zeros", std::string(160 * 1024, '\0'));
+  util::Rng layer_rng(0x15D5);
+  inputs.emplace_back("layer-like",
+                      compress::generate(128 * 1024, 3.0, layer_rng));
+  for (const auto& file :
+       std::filesystem::directory_iterator(DOCKMINE_CORPUS_DIR)) {
+    inputs.emplace_back(file.path().filename().string(),
+                        read_corpus(file.path().filename().string()));
+  }
+
+  int members = 0;
+  for (int level = 1; level <= 9; ++level) {
+    compress::GzipWriter writer(level);
+    for (const auto& [name, raw] : inputs) {
+      for (const std::size_t max_piece : {0, 1, 3, 511, 4096}) {
+        // Byte-at-a-time feeding is slow on both sides; run it on the
+        // inputs under 40 KiB.
+        if (max_piece == 1 && raw.size() > 40 * 1024) continue;
+        const std::string label = name + ", level " + std::to_string(level) +
+                                  ", pieces of 1.." + std::to_string(max_piece);
+        expect_deflate_same_as_zlib(writer, level, raw, max_piece, rng, label);
+        ++members;
+      }
+    }
+  }
+  EXPECT_GT(members, 9 * 4 * static_cast<int>(inputs.size()));
+}
+
+TEST(DeflateDifferentialTest, RegistryLayersAgreeWithZlib) {
+  // Every layer tar of a light 30-repository registry at level 1, the level
+  // every registry is built at, whole and in 4096-byte pieces. Levels 2-9
+  // take the layers under 512 KiB in turn, so each level sees several
+  // without the lazy levels' cost on every layer.
+  const synth::HubModel hub(synth::Calibration::light(), synth::Scale{30, 123});
+  const synth::Materializer materializer(hub, /*gzip_level=*/1);
+  std::vector<std::unique_ptr<compress::GzipWriter>> writers;
+  for (int level = 1; level <= 9; ++level) {
+    writers.push_back(std::make_unique<compress::GzipWriter>(level));
+  }
+  util::Rng rng(31337);
+  std::vector<int> layers(10, 0);
+  std::size_t index = 0;
+  for (const synth::LayerId id : hub.unique_layers()) {
+    const std::string tar = materializer.layer_tar(hub.layer_spec(id));
+    std::vector<int> levels = {1};
+    if (tar.size() < (512u << 10)) {
+      levels.push_back(2 + static_cast<int>(index % 8));
+    }
+    ++index;
+    for (const int level : levels) {
+      for (const std::size_t max_piece : {0, 4096}) {
+        const std::string label = "layer " + std::to_string(id) + " (" +
+                                  std::to_string(tar.size()) + " bytes), level " +
+                                  std::to_string(level) + ", pieces of 1.." +
+                                  std::to_string(max_piece);
+        ASSERT_TRUE(expect_deflate_same_as_zlib(*writers[level - 1], level,
+                                                tar, max_piece, rng, label));
+      }
+      ++layers[level];
+    }
+  }
+  EXPECT_EQ(static_cast<std::size_t>(layers[1]), hub.unique_layers().size());
+  for (int level = 2; level <= 9; ++level) {
+    EXPECT_GE(layers[level], 5) << "level " << level;
+  }
+}
+
 }  // namespace
 }  // namespace dockmine

@@ -395,6 +395,54 @@ TEST_F(GatewayFixture, AnswersAfterAnAcceptErrorBurst) {
   burst.stop();
 }
 
+// A connection whose thread the system refuses is shed and counted, as one
+// past the cap is: the peer reads EOF, no live or peak count moves, and the
+// server goes on to serve the next connection.
+TEST_F(GatewayFixture, AConnectionWhoseThreadCannotStartIsShed) {
+  std::atomic<int> refusals{1};
+  http::ServerOptions options;
+  options.thread_start_injector = [&refusals] {
+    return refusals.fetch_sub(1) > 0;
+  };
+  http::Server refusing(
+      [](const http::Request& request) { return gateway->handle(request); },
+      options);
+  ASSERT_TRUE(refusing.start().ok());
+
+  auto socket = http::Socket::connect_loopback(refusing.port());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().set_timeout_ms(5000).ok());
+  auto chunk = socket.value().read_some();
+  if (chunk.ok()) {
+    EXPECT_TRUE(chunk.value().empty()) << "a shed connection got bytes";
+  } else {
+    EXPECT_EQ(chunk.error().code(), util::ErrorCode::kReset)
+        << chunk.error().to_string();
+  }
+  EXPECT_LE(refusals.load(), 0) << "injector was never consulted";
+  const http::ServerStats shed = refusing.stats();
+  EXPECT_EQ(shed.rejected, 1u);
+  EXPECT_EQ(shed.live, 0u);
+  EXPECT_EQ(shed.peak_live, 0u);
+
+  {
+    registry::RemoteRegistry remote(refusing.port());
+    EXPECT_TRUE(remote.ping().ok());
+  }
+  EXPECT_EQ(refusing.requests_served(), 1u);
+  // The served connection ends with its client; live returns to 0.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (refusing.stats().live != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(refusing.stats().live, 0u);
+  EXPECT_EQ(refusing.stats().peak_live, 1u);
+  EXPECT_EQ(refusing.stats().rejected, 1u);
+  refusing.stop();
+}
+
 // A one-line request head that never completes is dropped once the
 // partial-message deadline passes.
 TEST_F(GatewayFixture, PartialRequestIsDroppedWithinTheDeadline) {

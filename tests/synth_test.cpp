@@ -369,7 +369,9 @@ TEST(HubModelTest, UniqueLayersCoverDownloadableImagesOnly) {
 
 TEST(MaterializerTest, LayerBlobIsValidGzipTar) {
   const HubModel hub(Calibration::paper(), tiny());
-  const Materializer materializer(hub);
+  // Level 6: the pinned digest below is a level-6 blob, the lazy-match
+  // path's oracle.
+  const Materializer materializer(hub, /*gzip_level=*/6);
   // Find a modest layer to keep the test fast.
   LayerSpec spec;
   for (LayerId id : hub.unique_layers()) {
@@ -387,7 +389,7 @@ TEST(MaterializerTest, LayerBlobIsValidGzipTar) {
   // Streamed through deflate, the blob is the whole tar gzipped at once,
   // and the bytes the whole-tar materializer produced.
   EXPECT_EQ(blob.value(),
-            compress::gzip_compress(materializer.layer_tar(spec)).value());
+            compress::gzip_compress(materializer.layer_tar(spec), 6).value());
   EXPECT_EQ(digest::Digest::of(blob.value()).to_string(),
             "sha256:d11dd4367d4abae09dba4cd0b596ba8fd97c2e0dc4408ffe7135ab25845011b5");
 }

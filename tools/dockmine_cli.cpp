@@ -151,7 +151,7 @@ int cmd_serve_registry(const Flags& flags) {
   registry::Service service;
   // Gzip on every core: this verb refuses --workers (the gateway serves
   // each connection on its own thread), so no flag sizes the gzip threads.
-  synth::Materializer materializer(hub, static_cast<int>(flags.u64("gzip", 1)),
+  synth::Materializer materializer(hub, static_cast<int>(flags.u64("gzip", compress::kDefaultLevel)),
                                    /*threads=*/0);
   auto pushed = materializer.populate(service);
   if (!pushed.ok()) {
@@ -255,7 +255,7 @@ int cmd_export(const Flags& flags) {
     return 1;
   }
   const synth::Materializer materializer(
-      hub, static_cast<int>(flags.u64("gzip", 1)));
+      hub, static_cast<int>(flags.u64("gzip", compress::kDefaultLevel)));
   std::uint64_t layers = 0;
   for (synth::LayerId id : hub.unique_layers()) {
     auto blob_bytes = materializer.layer_blob(hub.layer_spec(id));
@@ -632,7 +632,7 @@ int cmd_evolve(const Flags& flags) {
   const synth::Calibration calibration = flags.flag("paper")
                                              ? synth::Calibration::paper()
                                              : synth::Calibration::light();
-  const int gzip_level = static_cast<int>(flags.u64("gzip", 1));
+  const int gzip_level = static_cast<int>(flags.u64("gzip", compress::kDefaultLevel));
   const auto epochs = static_cast<std::uint32_t>(flags.u64("epochs", 4));
 
   TemporalStack stack(calibration, scale, gzip_level);
@@ -727,7 +727,7 @@ core::JobSpec job_spec_from(const Flags& flags) {
   spec.repositories = flags.u64("repos", 120);
   spec.seed = flags.u64("seed", 20170530);
   spec.light_calibration = !flags.flag("paper");
-  spec.gzip_level = static_cast<int>(flags.u64("gzip", 1));
+  spec.gzip_level = static_cast<int>(flags.u64("gzip", compress::kDefaultLevel));
   spec.threads = flags.u64("workers", 0);
   spec.shards = static_cast<std::uint32_t>(flags.u64("shards", 4));
   return spec;

@@ -4,7 +4,9 @@
 # pathological spill threshold, driving every run through the spill/merge
 # path), then the observability suites with the obs layer compiled out
 # (-DDOCKMINE_OBS=OFF) to prove the disabled path builds and records
-# nothing.
+# nothing, then the byte-level suites under AddressSanitizer and UBSan
+# (a UB report fails the run): the DEFLATE encoder's and decoder's
+# word-wide reads, the tar parser and the layer pass.
 #
 # The server suites (http_test, serve_chaos_test, dist_chaos_test) run in
 # both: they drive the one server loop serve, the coordinator and the HTTP
@@ -24,11 +26,11 @@ configure_and_build() {
   cmake --build "${dir}" -j "${jobs}"
 }
 
-echo "== [1/3] tier-1 suite (default build) =="
+echo "== [1/4] tier-1 suite (default build) =="
 configure_and_build "${build_root}/default"
 ctest --test-dir "${build_root}/default" -L tier1 --output-on-failure -j "${jobs}"
 
-echo "== [2/3] TSan: pipeline + resilience + obs + materialize suites =="
+echo "== [2/4] TSan: pipeline + resilience + obs + materialize suites =="
 configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 "${build_root}/tsan/tests/worker_equivalence_test"
 "${build_root}/tsan/tests/stream_chaos_test"
@@ -49,7 +51,7 @@ configure_and_build "${build_root}/tsan" -DDOCKMINE_SANITIZE=thread
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_test"
 DOCKMINE_SHARD_SPILL_BYTES=1 "${build_root}/tsan/tests/shard_pipeline_test"
 
-echo "== [3/3] obs compiled out (-DDOCKMINE_OBS=OFF) =="
+echo "== [3/4] obs compiled out (-DDOCKMINE_OBS=OFF) =="
 configure_and_build "${build_root}/obs-off" -DDOCKMINE_OBS=OFF
 "${build_root}/obs-off/tests/obs_test"
 "${build_root}/obs-off/tests/obs_export_test"
@@ -63,5 +65,13 @@ configure_and_build "${build_root}/obs-off" -DDOCKMINE_OBS=OFF
 # obs::now_ms, which obs-off still compiles.
 "${build_root}/obs-off/tests/analyzer_test"
 "${build_root}/obs-off/tests/fuzz_test"
+
+echo "== [4/4] ASan + UBSan: compress, fuzz, synth, analyzer, http suites =="
+configure_and_build "${build_root}/asan" -DDOCKMINE_SANITIZE=address,undefined
+"${build_root}/asan/tests/compress_test"
+"${build_root}/asan/tests/fuzz_test"
+"${build_root}/asan/tests/synth_test"
+"${build_root}/asan/tests/analyzer_test"
+"${build_root}/asan/tests/http_test"
 
 echo "All checks passed."
