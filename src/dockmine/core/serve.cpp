@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -328,7 +329,7 @@ json::Value response_to_json(const Response& response) {
   return doc;
 }
 
-util::Result<Response> response_from_json(const json::Value& doc) {
+util::Result<Response> response_from_json(json::Value doc) {
   if (!doc.is_object() || !doc["type"].is_string() || !doc["id"].is_int() ||
       doc["id"].as_int() < 0 || !doc["epoch"].is_int() ||
       doc["epoch"].as_int() < 0) {
@@ -356,7 +357,12 @@ util::Result<Response> response_from_json(const json::Value& doc) {
       return util::corrupt("serve: result response without body");
     }
     response.ok = true;
-    response.body = doc["body"];
+    for (auto& [key, value] : doc.members()) {
+      if (key == "body") {
+        response.body = std::move(value);
+        break;
+      }
+    }
     return response;
   }
   if (type == "error") {
@@ -454,13 +460,27 @@ json::Value type_breakdown_json(const dedup::TypeBreakdown& breakdown) {
 
 namespace {
 
-/// The answers both modes derive from a result the same way: the report,
-/// the type breakdown, per-image reports and metrics, and layer sharing
-/// (moved out of `result`).
+/// Pre-serialize `node` as the answer to report path `path`, then every
+/// member the query's dot-path walk can reach below it: object members
+/// whose keys are nonempty and hold no dot.
+void add_report_paths(const json::Value& node, const std::string& path,
+                      std::map<std::string, json::Value>& paths) {
+  paths.emplace(path, json::Value::preserialized(node));
+  for (const auto& [key, child] : node.members()) {
+    if (key.empty() || key.find('.') != std::string::npos) continue;
+    add_report_paths(child, path.empty() ? key : path + "." + key, paths);
+  }
+}
+
+/// The answers both modes derive from a result the same way: the report
+/// and the bytes of its every path, the type breakdown, per-image reports
+/// and metrics, and layer sharing (moved out of `result`).
 std::shared_ptr<Snapshot> snapshot_of(PipelineResult& result) {
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->report = pipeline_report_json(result);
-  snapshot->types = type_breakdown_json(result.shard_dedup->by_type);
+  add_report_paths(snapshot->report, "", snapshot->report_paths);
+  snapshot->types = json::Value::preserialized(
+      type_breakdown_json(result.shard_dedup->by_type));
 
   std::map<std::string, const registry::Manifest*> manifests_by_repo;
   for (const registry::Manifest& manifest : result.manifests) {
@@ -471,7 +491,8 @@ std::shared_ptr<Snapshot> snapshot_of(PipelineResult& result) {
     if (it == manifests_by_repo.end()) continue;  // delivered images always match
     snapshot->images.emplace(
         profile.repository,
-        image_report_json(profile, *it->second, result.sharing));
+        json::Value::preserialized(
+            image_report_json(profile, *it->second, result.sharing)));
     snapshot->repo_metrics.emplace(
         profile.repository,
         RepoMetrics{profile.cis, profile.fis, profile.file_count,
@@ -868,35 +889,28 @@ Response ServeDaemon::handle_query(const Request& request) {
     response.error = message;
     return response;
   };
+  // An immutable answer was serialized when the snapshot was built: the
+  // response takes a reference to its bytes, never a tree to copy.
+  const auto answer_with = [&response](const json::Value& preserialized) {
+    assert(preserialized.type() == json::Type::kPreserialized);
+    response.ok = true;
+    response.body = preserialized;
+    return response;
+  };
 
   if (request.q == "report") {
-    const json::Value* node = &snap->report;
-    std::size_t begin = 0;
-    while (begin <= request.path.size() && !request.path.empty()) {
-      const std::size_t end = request.path.find('.', begin);
-      const std::string segment =
-          request.path.substr(begin, end == std::string::npos
-                                         ? std::string::npos
-                                         : end - begin);
-      if (segment.empty() || !node->is_object() || !node->contains(segment)) {
-        return fail("serve: no such report path: " + request.path);
-      }
-      node = &(*node)[segment];
-      if (end == std::string::npos) break;
-      begin = end + 1;
+    const auto path = snap->report_paths.find(request.path);
+    if (path == snap->report_paths.end()) {
+      return fail("serve: no such report path: " + request.path);
     }
-    response.ok = true;
-    response.body = *node;
-    return response;
+    return answer_with(path->second);
   }
   if (request.q == "image") {
-    const auto it = snap->images.find(request.repository);
-    if (it == snap->images.end()) {
+    const auto image = snap->images.find(request.repository);
+    if (image == snap->images.end()) {
       return fail("serve: unknown repository: " + request.repository);
     }
-    response.ok = true;
-    response.body = it->second;
-    return response;
+    return answer_with(image->second);
   }
   if (request.q == "layer") {
     const auto info = snap->sharing.lookup(request.key);
@@ -925,21 +939,19 @@ Response ServeDaemon::handle_query(const Request& request) {
     response.body = std::move(body);
     return response;
   }
-  if (request.q == "types") {
-    response.ok = true;
-    response.body = snap->types;
-    return response;
-  }
+  if (request.q == "types") return answer_with(snap->types);
   if (request.q == "ecdf") {
     const auto location = ecdf_location(request.name);
     if (!location) return fail("serve: unknown ecdf: " + request.name);
-    const json::Value& slice =
-        snap->report["analysis"][location->first][location->second];
     if (request.quantile < 0.0) {
-      response.ok = true;
-      response.body = slice;
+      const auto whole = snap->report_paths.find(
+          "analysis." + location->first + "." + location->second);
+      if (whole != snap->report_paths.end()) return answer_with(whole->second);
+      response.ok = true;  // a section the report left out reads as null
       return response;
     }
+    const json::Value& slice =
+        snap->report["analysis"][location->first][location->second];
     const int index = grid_index(request.quantile);
     if (index < 0) {
       return fail("serve: quantile is not on the report grid");
@@ -1295,7 +1307,7 @@ util::Result<Response> Client::call(const Request& request) {
       }
       auto parsed = json::parse(frame.payload);
       if (!parsed.ok()) return parsed.error();
-      return response_from_json(parsed.value());
+      return response_from_json(std::move(parsed).value());
     }
     auto chunk = socket_.read_some();
     if (!chunk.ok()) return chunk.error();

@@ -118,7 +118,12 @@ struct Response {
   bool ok = false;
   std::uint64_t epoch = 0;  ///< snapshot epoch the answer was read from
   std::string error;        ///< set when !ok
-  json::Value body;         ///< set when ok
+  /// Set when ok. On the daemon an immutable answer (a report path, an
+  /// image, types) is the snapshot's pre-serialized node, so holding it
+  /// costs a refcount and response_to_json(...).dump() splices its bytes
+  /// into the envelope; computed answers are trees. A parsed response
+  /// (Client::call) always holds a tree.
+  json::Value body;
   /// Server-side latency attribution, stamped when obs is enabled
   /// (negative = not measured, omitted from the wire form — telemetry-off
   /// responses stay byte-identical to older builds).
@@ -126,8 +131,12 @@ struct Response {
   double handle_ms = -1.0;  ///< request dispatch + serialization
 };
 
+/// The one envelope writer: `body`, then parse_ms and handle_ms when
+/// measured.
 json::Value response_to_json(const Response& response);
-util::Result<Response> response_from_json(const json::Value& doc);
+/// Takes the document by value so a caller that owns it (Client::call)
+/// moves the body out instead of copying it.
+util::Result<Response> response_from_json(json::Value doc);
 
 // ---- snapshots ---------------------------------------------------------
 
@@ -151,20 +160,28 @@ struct RepoMetrics {
 };
 
 /// Immutable queryable state for one epoch. Built once per commit, shared
-/// read-only by every in-flight query via shared_ptr.
+/// read-only by every in-flight query via shared_ptr. Every answer that
+/// cannot change within the epoch is serialized here, once, as a
+/// json::Value::preserialized node; a read hands that node to the response.
 struct Snapshot {
   std::uint64_t epoch = 0;  ///< batch mode: committed batches; temporal
                             ///< mode: the registry epoch served
   bool temporal = false;
   std::vector<BatchSpec> batches;
-  json::Value report;  ///< pipeline_report_json of the folded union
-  /// Per-image reports keyed by repository (image_report_json).
+  json::Value report;  ///< pipeline_report_json of the folded union (a tree)
+  /// Pre-serialized answer of every `report` query path: "" is the whole
+  /// report, "analysis.images.cis" one dot-path slice (every object member
+  /// the path walk can reach, so every whole ECDF slice too).
+  std::map<std::string, json::Value> report_paths;
+  /// Per-image reports keyed by repository (image_report_json),
+  /// pre-serialized.
   std::map<std::string, json::Value> images;
   /// Per-repository scalars for top/repos queries.
   std::map<std::string, RepoMetrics> repo_metrics;
   /// Union layer-sharing analysis for point lookups.
   dedup::LayerSharingAnalysis sharing;
-  json::Value types;  ///< type_breakdown_json of the folded breakdown
+  /// type_breakdown_json of the folded breakdown, pre-serialized.
+  json::Value types;
   /// Read-path index over every batch's exported shard set (batch mode).
   shard::ShardSetIndex contents;
   /// Temporal mode: the resident dedup index of the served epoch — content

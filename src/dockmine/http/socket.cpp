@@ -43,6 +43,7 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     close();
     fd_ = other.fd_;
     other.fd_ = -1;
+    read_buffer_ = std::move(other.read_buffer_);
   }
   return *this;
 }
@@ -68,16 +69,17 @@ util::Status Socket::write_all(std::string_view data) {
   return util::Status::success();
 }
 
-util::Result<std::string> Socket::read_some(std::size_t max) {
-  std::string buffer(max, '\0');
+util::Result<std::string_view> Socket::read_some() {
+  if (!read_buffer_) {
+    read_buffer_ = std::make_unique_for_overwrite<char[]>(kReadChunk);
+  }
   for (;;) {
-    const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), 0);
+    const ssize_t n = ::recv(fd_, read_buffer_.get(), kReadChunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno_error("recv");
     }
-    buffer.resize(static_cast<std::size_t>(n));
-    return buffer;
+    return std::string_view(read_buffer_.get(), static_cast<std::size_t>(n));
   }
 }
 

@@ -2,8 +2,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "dockmine/util/error.h"
 
@@ -27,7 +30,10 @@ class Socket {
   explicit Socket(int fd) : fd_(fd) {}
   ~Socket() { close(); }
 
-  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Socket(Socket&& other) noexcept
+      : fd_(other.fd_), read_buffer_(std::move(other.read_buffer_)) {
+    other.fd_ = -1;
+  }
   Socket& operator=(Socket&& other) noexcept;
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
@@ -45,8 +51,10 @@ class Socket {
   /// Write the whole buffer (loops over partial writes).
   util::Status write_all(std::string_view data);
 
-  /// Read up to `max` bytes; 0 bytes => peer closed.
-  util::Result<std::string> read_some(std::size_t max = 64 * 1024);
+  /// Read what has arrived, up to 64 KiB; empty => peer closed. The bytes
+  /// land in a buffer this socket owns, allocated on the first read and
+  /// never zero-filled; the view stays valid until the next read.
+  util::Result<std::string_view> read_some();
 
   /// ::shutdown(SHUT_RDWR): unblocks a reader thread parked in read_some()
   /// (it sees 0 bytes / kReset) without racing fd reuse the way a
@@ -60,7 +68,10 @@ class Socket {
   static util::Result<Socket> connect_loopback(std::uint16_t port);
 
  private:
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+
   int fd_ = -1;
+  std::unique_ptr<char[]> read_buffer_;  ///< kReadChunk bytes, once read
 };
 
 /// Listening socket bound to 127.0.0.1 on an ephemeral (or given) port.

@@ -3,8 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <cstdio>
 
 namespace dockmine::json {
 
@@ -37,10 +35,24 @@ void Value::set(std::string key, Value value) {
   members_.emplace_back(std::move(key), std::move(value));
 }
 
-std::string escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (char c : raw) {
+Value Value::preserialized(const Value& tree) {
+  Value v;
+  v.type_ = Type::kPreserialized;
+  v.text_ = std::make_shared<const std::string>(tree.dump());
+  return v;
+}
+
+namespace {
+
+// Appends `raw` escaped per RFC 8259, copying each run of plain bytes in
+// one append.
+void escape_into(std::string& out, std::string_view raw) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -49,63 +61,85 @@ std::string escape(std::string_view raw) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char unicode[] = {'\\', 'u', '0', '0',
+                                static_cast<char>('0' + (c >> 4)),
+                                "0123456789abcdef"[c & 0xf]};
+        out.append(unicode, sizeof unicode);
+      }
     }
   }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
+void write_quoted(std::string& out, std::string_view raw) {
+  out += '"';
+  escape_into(out, raw);
+  out += '"';
+}
+
+// The first of %.15g, %.16g and %.17g that reads back exactly. to_chars
+// with a precision prints printf's digits, and from_chars reads like strtod,
+// so these are the bytes the printf + strtod loop printed.
+void write_double(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";  // JSON has no Inf/NaN
+    return;
+  }
+  char buf[32];  // %.17g needs at most 24: sign, 17 digits, '.', e-308
+  char* end = buf;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = std::to_chars(buf, buf + sizeof buf, value,
+                        std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    const auto parsed = std::from_chars(buf, end, back);
+    if (parsed.ec == std::errc() && back == value) break;
+  }
+  out.append(buf, end);
+}
+
+void write_int(std::string& out, std::int64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+// Pretty mode only: a line break and `depth` levels of indent.
+void new_line(std::string& out, int indent, int depth) {
+  if (indent <= 0) return;
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent * depth), ' ');
+}
+
+}  // namespace
+
+std::string escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  escape_into(out, raw);
   return out;
 }
 
 void Value::write(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent > 0 ? std::string(static_cast<std::size_t>(indent * (depth + 1)), ' ') : "";
-  const std::string close_pad =
-      indent > 0 ? std::string(static_cast<std::size_t>(indent * depth), ' ') : "";
-  const char* nl = indent > 0 ? "\n" : "";
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kInt: out += std::to_string(int_); break;
-    case Type::kDouble: {
-      if (std::isfinite(double_)) {
-        // Shortest representation that round-trips: try increasing
-        // precision until strtod gives the value back.
-        char buf[40];
-        for (int precision = 15; precision <= 17; ++precision) {
-          std::snprintf(buf, sizeof buf, "%.*g", precision, double_);
-          if (std::strtod(buf, nullptr) == double_) break;
-        }
-        out += buf;
-      } else {
-        out += "null";  // JSON has no Inf/NaN
-      }
-      break;
-    }
-    case Type::kString:
-      out += '"';
-      out += escape(string_);
-      out += '"';
-      break;
+    case Type::kInt: write_int(out, int_); break;
+    case Type::kDouble: write_double(out, double_); break;
+    case Type::kString: write_quoted(out, string_); break;
+    case Type::kPreserialized: out += *text_; break;
     case Type::kArray: {
       if (array_.empty()) {
         out += "[]";
         break;
       }
       out += '[';
-      out += nl;
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        out += pad;
+        if (i > 0) out += ',';
+        new_line(out, indent, depth + 1);
         array_[i].write(out, indent, depth + 1);
-        if (i + 1 < array_.size()) out += ',';
-        out += nl;
       }
-      out += close_pad;
+      new_line(out, indent, depth);
       out += ']';
       break;
     }
@@ -115,17 +149,14 @@ void Value::write(std::string& out, int indent, int depth) const {
         break;
       }
       out += '{';
-      out += nl;
       for (std::size_t i = 0; i < members_.size(); ++i) {
-        out += pad;
-        out += '"';
-        out += escape(members_[i].first);
-        out += indent > 0 ? "\": " : "\":";
+        if (i > 0) out += ',';
+        new_line(out, indent, depth + 1);
+        write_quoted(out, members_[i].first);
+        out += indent > 0 ? ": " : ":";
         members_[i].second.write(out, indent, depth + 1);
-        if (i + 1 < members_.size()) out += ',';
-        out += nl;
       }
-      out += close_pad;
+      new_line(out, indent, depth);
       out += '}';
       break;
     }

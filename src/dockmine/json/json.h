@@ -5,6 +5,17 @@
 // downloader parses them, and the bench harness emits JSON reports. Objects
 // preserve insertion order so serialized manifests are byte-stable, which
 // matters because manifests are content-addressed by their digest.
+//
+// Numbers: an integer prints in decimal; a finite double prints as the
+// first of `%.15g`, `%.16g`, `%.17g` that reads back to the same double,
+// through std::to_chars with that precision (the same digits printf
+// prints) and a std::from_chars round trip; Inf and NaN print `null`.
+//
+// A pre-serialized node (Value::preserialized) holds one tree's dump()
+// bytes, shared between copies: copying it costs a refcount, and dump()
+// splices the bytes verbatim wherever the node sits. The serve daemon
+// keeps every immutable answer this way, built once per snapshot. parse()
+// never produces one.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +41,7 @@ enum class Type : std::uint8_t {
   kString,
   kArray,
   kObject,
+  kPreserialized,  // opaque dump() bytes of another tree; see preserialized()
 };
 
 class Value {
@@ -56,6 +68,10 @@ class Value {
     v.type_ = Type::kArray;
     return v;
   }
+  /// `tree`'s compact bytes, serialized once and shared by every copy. The
+  /// node is opaque: it answers type() and dump() (which writes the bytes
+  /// verbatim, also inside dump_pretty()), and reads as empty otherwise.
+  static Value preserialized(const Value& tree);
 
   Type type() const noexcept { return type_; }
   bool is_null() const noexcept { return type_ == Type::kNull; }
@@ -83,6 +99,7 @@ class Value {
   const Array& items() const { return array_; }
   Array& items() { return array_; }
   const Members& members() const { return members_; }
+  Members& members() { return members_; }
 
   std::size_t size() const noexcept {
     return is_array() ? array_.size() : is_object() ? members_.size() : 0;
@@ -117,6 +134,7 @@ class Value {
   std::string string_;
   Array array_;
   Members members_;
+  std::shared_ptr<const std::string> text_;  // kPreserialized
 };
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.

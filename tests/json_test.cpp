@@ -1,3 +1,13 @@
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "dockmine/json/json.h"
@@ -90,6 +100,136 @@ TEST(JsonDumpTest, PrettyPrintsIndented) {
 TEST(JsonDumpTest, NonFiniteBecomesNull) {
   Value v(std::numeric_limits<double>::infinity());
   EXPECT_EQ(v.dump(), "null");
+}
+
+// The writer's earlier rule, kept as the reference: %.15g, then %.16g, then
+// %.17g, stopping at the first that strtod reads back exactly.
+std::string reference_double(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+// Every class of double a report can hold, and the edges of the format:
+// over a million values in all.
+std::vector<double> formatter_corpus() {
+  std::vector<double> values;
+  std::mt19937_64 rng(20170530);
+  // Random finite bit patterns: every exponent, sign and mantissa.
+  while (values.size() < 400000) {
+    const double d = std::bit_cast<double>(rng());
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  // Uniform [0,1), the shape of shares and ratios, plus scaled copies.
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 100000; ++i) {
+    const double u = unit(rng);
+    for (const double scale : {1.0, 100.0, 1e6, 1e-4, 12345.678}) {
+      values.push_back(u * scale);
+    }
+  }
+  // Integers up to 2^53 (byte counts held as doubles), small and large.
+  for (std::uint64_t i = 0; i < 50000; ++i) {
+    values.push_back(static_cast<double>(i));
+  }
+  for (int i = 0; i < 150000; ++i) {
+    values.push_back(static_cast<double>(rng() >> 11));  // < 2^53
+  }
+  // Powers of 2 and 10 with their nextafter neighbours.
+  const auto with_neighbours = [&values](double d) {
+    values.push_back(d);
+    values.push_back(std::nextafter(d, 0.0));
+    values.push_back(std::nextafter(d, std::numeric_limits<double>::infinity()));
+    values.push_back(-d);
+  };
+  for (int e = -1074; e <= 1023; ++e) with_neighbours(std::ldexp(1.0, e));
+  for (int e = -323; e <= 308; ++e) {
+    with_neighbours(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  }
+  // Subnormals, the extremes, and both zeros.
+  const double min_normal = std::numeric_limits<double>::min();
+  for (int i = 0; i < 50000; ++i) {
+    values.push_back(std::bit_cast<double>(rng() & ((std::uint64_t{1} << 52) - 1)));
+  }
+  for (const double d : {0.0, -0.0, min_normal, std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::epsilon()}) {
+    with_neighbours(d);
+  }
+  // The report grid's quantiles.
+  for (const double q : {0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
+                         0.99, 1.0}) {
+    values.push_back(q);
+  }
+  return values;
+}
+
+TEST(JsonDumpTest, DoublesPrintTheBytesOfThePrintfStrtodRule) {
+  const std::vector<double> values = formatter_corpus();
+  ASSERT_GE(values.size(), 1000000u);
+  std::size_t differences = 0;
+  for (const double d : values) {
+    const std::string got = Value(d).dump();
+    const std::string want = reference_double(d);
+    if (got != want && ++differences <= 10) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(d) << ": wrote "
+                    << got << ", the reference prints " << want;
+    }
+  }
+  EXPECT_EQ(differences, 0u) << "of " << values.size() << " doubles";
+
+  // Non-finite values stay null, also inside containers.
+  Value row = Value::array();
+  row.push_back(std::numeric_limits<double>::quiet_NaN());
+  row.push_back(-std::numeric_limits<double>::infinity());
+  row.push_back(100000.0);
+  row.push_back(0.1);
+  EXPECT_EQ(row.dump(), "[null,null,100000,0.1]");
+}
+
+TEST(JsonDumpTest, EscapesKeysLikeStrings) {
+  Value obj = Value::object();
+  obj.set("a\"b\\c\x1f\t", std::string("\x7f\xc3\xa9\r"));
+  EXPECT_EQ(obj.dump(),
+            "{\"a\\\"b\\\\c\\u001f\\t\":\"\x7f\xc3\xa9\\r\"}");
+  EXPECT_EQ(escape("plain"), "plain");
+  EXPECT_EQ(escape(std::string("\0", 1)), "\\u0000");
+}
+
+TEST(JsonPreserializedTest, SplicesTheTreesBytesVerbatim) {
+  Value tree = Value::object();
+  tree.set("ratio", 2.6);
+  tree.set("big", 1e5);
+  tree.set("rows", Value(Array{Value(1), Value("two"), Value()}));
+  const Value node = Value::preserialized(tree);
+  EXPECT_EQ(node.type(), Type::kPreserialized);
+  EXPECT_EQ(node.dump(), tree.dump());
+  EXPECT_EQ(node.dump(), R"({"ratio":2.6,"big":100000,"rows":[1,"two",null]})");
+
+  // Inside an envelope it writes what the tree would have written.
+  Value envelope = Value::object();
+  envelope.set("id", 7);
+  envelope.set("body", node);
+  Value expected = Value::object();
+  expected.set("id", 7);
+  expected.set("body", tree);
+  EXPECT_EQ(envelope.dump(), expected.dump());
+  // Pretty output keeps the bytes compact where the node sits.
+  EXPECT_EQ(envelope.dump_pretty(),
+            "{\n  \"id\": 7,\n  \"body\": " + tree.dump() + "\n}");
+
+  // Opaque: it reads as no container, and parsing its bytes gives the tree.
+  EXPECT_FALSE(node.is_object());
+  EXPECT_EQ(node.size(), 0u);
+  EXPECT_TRUE(node["ratio"].is_null());
+  auto parsed = parse(node.dump());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().type(), Type::kObject);
+  EXPECT_EQ(parsed.value().dump(), tree.dump());
 }
 
 TEST(JsonValueTest, PushBackBuildsArray) {

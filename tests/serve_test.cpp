@@ -18,6 +18,7 @@
 // run are built once and shared across tests, and the ingest/restart
 // tests at the end mutate daemon state in a fixed order.
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -775,6 +776,263 @@ TEST(ServeContainment, AcceptLoopSurvivesDescriptorExhaustion) {
   daemon.stop();
 }
 
+// ---- wire bytes --------------------------------------------------------
+// The oracles above parse each answer and dump it again, so they cannot see
+// how the daemon wrote it. These read the raw frame payload off the socket
+// and compare it with the one envelope writer applied to a response whose
+// body the shared serializers build over the oracle run.
+
+// The payload of the daemon's answer to one request frame, as it crossed
+// the socket: no parse, no re-dump.
+std::string wire_answer(std::uint16_t port, const std::string& request) {
+  auto socket = dockmine::http::Socket::connect_loopback(port);
+  EXPECT_TRUE(socket.ok());
+  if (!socket.ok()) return "";
+  EXPECT_TRUE(socket.value().set_timeout_ms(10000).ok());
+  EXPECT_TRUE(socket.value()
+                  .write_all(wire::encode_frame(wire::FrameKind::kJson, request))
+                  .ok());
+  wire::FrameBuffer frames;
+  wire::Frame frame;
+  for (;;) {
+    auto polled = frames.poll(frame);
+    EXPECT_TRUE(polled.ok());
+    if (!polled.ok()) return "";
+    if (polled.value()) return frame.payload;
+    auto chunk = socket.value().read_some();
+    EXPECT_TRUE(chunk.ok() && !chunk.value().empty()) << "no answer";
+    if (!chunk.ok() || chunk.value().empty()) return "";
+    frames.feed(chunk.value());
+  }
+}
+
+std::string wire_answer(const serve::Request& request) {
+  return wire_answer(fixture().daemon->port(),
+                     serve::request_to_json(request).dump());
+}
+
+// The envelope of a result (or, with an error message, an error) answered
+// from the fixture's first epoch.
+std::string wire_result(json::Value body) {
+  serve::Response response;
+  response.id = 42;
+  response.ok = true;
+  response.epoch = 1;
+  response.body = std::move(body);
+  return serve::response_to_json(response).dump();
+}
+
+std::string wire_error(std::string error, std::uint64_t id = 42,
+                       std::uint64_t epoch = 1) {
+  serve::Response response;
+  response.id = id;
+  response.epoch = epoch;
+  response.error = std::move(error);
+  return serve::response_to_json(response).dump();
+}
+
+// Every dot path the report query can walk: object members below the root.
+void report_paths(const json::Value& node, const std::string& path,
+                  std::vector<std::pair<std::string, const json::Value*>>& out) {
+  out.emplace_back(path, &node);
+  for (const auto& [key, child] : node.members()) {
+    report_paths(child, path.empty() ? key : path + "." + key, out);
+  }
+}
+
+TEST(ServeWire, ReportPathsImagesAndTypesAreTheSerializersBytes) {
+  Fixture& f = fixture();
+  std::vector<std::pair<std::string, const json::Value*>> paths;
+  report_paths(f.oracle_report, "", paths);
+  ASSERT_GT(paths.size(), 40u);  // ReportPathQueriesReturnExactSlices' and more
+  for (const auto& [path, slice] : paths) {
+    serve::Request request = query("report");
+    request.path = path;
+    EXPECT_EQ(wire_answer(request), wire_result(*slice)) << path;
+  }
+  serve::Request bad = query("report");
+  bad.path = "analysis.nope";
+  EXPECT_EQ(wire_answer(bad),
+            wire_error("serve: no such report path: analysis.nope"));
+
+  std::map<std::string, const dockmine::registry::Manifest*> manifests;
+  for (const auto& manifest : f.oracle.manifests) {
+    manifests[manifest.repository] = &manifest;
+  }
+  ASSERT_FALSE(f.oracle.images.empty());
+  for (const auto& profile : f.oracle.images) {
+    serve::Request request = query("image");
+    request.repository = profile.repository;
+    EXPECT_EQ(wire_answer(request),
+              wire_result(serve::image_report_json(
+                  profile, *manifests.at(profile.repository), f.oracle.sharing)))
+        << profile.repository;
+  }
+  serve::Request unknown = query("image");
+  unknown.repository = "no/such-repo";
+  EXPECT_EQ(wire_answer(unknown),
+            wire_error("serve: unknown repository: no/such-repo"));
+
+  ASSERT_TRUE(f.oracle.shard_dedup.has_value());
+  EXPECT_EQ(wire_answer(query("types")),
+            wire_result(serve::type_breakdown_json(f.oracle.shard_dedup->by_type)));
+}
+
+TEST(ServeWire, EcdfSlicesAndGridPointsAreTheReportsBytes) {
+  Fixture& f = fixture();
+  const double grid[] = {0.0, 0.01, 0.05, 0.1,  0.25, 0.5,
+                         0.75, 0.9,  0.95, 0.99, 1.0};
+  for (const std::string section : {"images", "layers", "dedup"}) {
+    for (const auto& [field, slice] : f.oracle_report["analysis"][section].members()) {
+      if (!slice.contains("quantiles")) continue;
+      const std::string name = section + "." + field;
+      serve::Request whole = query("ecdf");
+      whole.name = name;
+      EXPECT_EQ(wire_answer(whole), wire_result(slice)) << name;
+      for (std::size_t i = 0; i < std::size(grid); ++i) {
+        serve::Request point = query("ecdf");
+        point.name = name;
+        point.quantile = grid[i];
+        auto body = json::Value::object();
+        body.set("name", name);
+        body.set("quantile", grid[i]);
+        body.set("samples", slice["samples"].as_uint());
+        body.set("value", slice["quantiles"].at(i));
+        EXPECT_EQ(wire_answer(point), wire_result(std::move(body)))
+            << name << " @ " << grid[i];
+      }
+    }
+  }
+  serve::Request off_grid = query("ecdf");
+  off_grid.name = "layers.cls";
+  off_grid.quantile = 0.33;
+  EXPECT_EQ(wire_answer(off_grid),
+            wire_error("serve: quantile is not on the report grid"));
+}
+
+TEST(ServeWire, PointAndAggregateAnswersAreTheOraclesBytes) {
+  Fixture& f = fixture();
+  // layer: the batch run's sharing analysis.
+  std::uint64_t probed = 0;
+  for (const auto& manifest : f.oracle.manifests) {
+    for (const auto& ref : manifest.layers) {
+      const std::uint64_t key = ref.digest.key64();
+      const auto info = f.oracle.sharing.lookup(key);
+      ASSERT_TRUE(info.has_value());
+      serve::Request request = query("layer");
+      request.key = key;
+      auto body = json::Value::object();
+      body.set("key", key);
+      body.set("references", info->references);
+      body.set("cls", info->cls);
+      body.set("shared", info->references > 1);
+      EXPECT_EQ(wire_answer(request), wire_result(std::move(body)));
+      ++probed;
+    }
+    if (probed >= 12) break;
+  }
+
+  // content: the batch run's exported shard set.
+  auto opened = dockmine::shard::ShardSetIndex::open({f.oracle_dir.str()});
+  ASSERT_TRUE(opened.ok());
+  probed = 0;
+  opened.value().for_each([&](std::uint64_t key,
+                              const dockmine::dedup::ContentEntry& entry) {
+    if (probed++ >= 12) return;
+    serve::Request request = query("content");
+    request.key = key;
+    auto body = json::Value::object();
+    body.set("key", key);
+    body.set("count", entry.count);
+    body.set("size", entry.size);
+    body.set("multi_layer", entry.multi_layer);
+    body.set("type", std::string(dockmine::filetype::to_string(entry.type)));
+    EXPECT_EQ(wire_answer(request), wire_result(std::move(body)));
+  });
+  serve::Request unknown_layer = query("layer");
+  unknown_layer.key = 0xdeadbeefdeadbeefULL;
+  EXPECT_EQ(wire_answer(unknown_layer), wire_error("serve: unknown layer key"));
+
+  // status: the one committed batch and the oracle's counts.
+  auto status = json::Value::object();
+  status.set("epoch", std::uint64_t{1});
+  auto batches = json::Value::array();
+  batches.push_back(serve::batch_spec_to_json(
+      serve::BatchSpec{test_spec().repositories, test_spec().seed}));
+  status.set("batches", std::move(batches));
+  status.set("images", static_cast<std::uint64_t>(f.oracle.images.size()));
+  status.set("distinct_layers", f.oracle.sharing.distinct_layers());
+  status.set("distinct_contents", opened.value().distinct_contents());
+  EXPECT_EQ(wire_answer(query("status")), wire_result(std::move(status)));
+
+  // top: value descending, name ascending on ties.
+  for (const std::string metric : {"cis", "fis", "files", "layers"}) {
+    std::vector<std::pair<std::uint64_t, std::string>> ranked;
+    for (const auto& profile : f.oracle.images) {
+      ranked.emplace_back(metric_of(profile, metric), profile.repository);
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    ranked.resize(std::min<std::size_t>(ranked.size(), 3));
+    auto rows = json::Value::array();
+    for (const auto& [value, repository] : ranked) {
+      auto row = json::Value::object();
+      row.set("repository", repository);
+      row.set("value", value);
+      rows.push_back(std::move(row));
+    }
+    auto body = json::Value::object();
+    body.set("metric", metric);
+    body.set("n", std::uint64_t{3});
+    body.set("rows", std::move(rows));
+    serve::Request request = query("top");
+    request.metric = metric;
+    request.n = 3;
+    EXPECT_EQ(wire_answer(request), wire_result(std::move(body))) << metric;
+  }
+
+  // repos: sums over the oracle's profiles under each prefix.
+  for (const std::string prefix : {"", "library/", "no-such-namespace/"}) {
+    std::uint64_t count = 0, cis = 0, fis = 0, files = 0, layers = 0;
+    for (const auto& profile : f.oracle.images) {
+      if (profile.repository.compare(0, prefix.size(), prefix) != 0) continue;
+      ++count;
+      cis += profile.cis;
+      fis += profile.fis;
+      files += profile.file_count;
+      layers += profile.layer_count;
+    }
+    auto body = json::Value::object();
+    body.set("prefix", prefix);
+    body.set("count", count);
+    body.set("total_cis", cis);
+    body.set("total_fis", fis);
+    body.set("total_files", files);
+    body.set("total_layers", layers);
+    serve::Request request = query("repos");
+    request.prefix = prefix;
+    EXPECT_EQ(wire_answer(request), wire_result(std::move(body))) << prefix;
+  }
+}
+
+TEST(ServeWire, ErrorShapesAreTheEnvelopesBytes) {
+  const std::uint16_t port = fixture().daemon->port();
+  // Unparseable: no id to recover, no snapshot read.
+  const std::string garbage = "{not json at all";
+  EXPECT_EQ(wire_answer(port, garbage),
+            wire_error("unparseable request: " +
+                           json::parse(garbage).error().to_string(),
+                       0, 0));
+  // Parseable but invalid: the id comes back, still no snapshot read.
+  const std::string bogus = R"({"type":"query","id":5,"q":"bogus"})";
+  EXPECT_EQ(wire_answer(port, bogus),
+            wire_error(serve::request_from_json(json::parse(bogus).value())
+                           .error()
+                           .to_string(),
+                       5, 0));
+}
+
 // ---- ingest: snapshot commit + union oracle ----------------------------
 // Ordered suffix of the suite: these mutate the shared daemon's state.
 
@@ -937,6 +1195,23 @@ TEST(ServeZTelemetry, LiveMetricsTraceTailAndSlowlogAnswer) {
   const serve::Response stamped = call(query("status"));
   EXPECT_GE(stamped.parse_ms, 0.0);
   EXPECT_GE(stamped.handle_ms, 0.0);
+
+  // On the wire the measured timings follow the spliced body: the payload
+  // is the one envelope writer's bytes for the report the batch run wrote.
+  const std::string payload = wire_answer(
+      daemon.port(), serve::request_to_json(query("report")).dump());
+  auto parsed = json::parse(payload);
+  ASSERT_TRUE(parsed.ok()) << payload;
+  serve::Response expected;
+  expected.id = 42;
+  expected.ok = true;
+  expected.epoch = 1;
+  expected.body = fixture().oracle_report;
+  expected.parse_ms = parsed.value()["parse_ms"].as_double();
+  expected.handle_ms = parsed.value()["handle_ms"].as_double();
+  ASSERT_TRUE(parsed.value()["parse_ms"].is_number()) << payload;
+  ASSERT_TRUE(parsed.value()["handle_ms"].is_number()) << payload;
+  EXPECT_EQ(payload, serve::response_to_json(expected).dump());
 
   // status carries the alert block; the healthy daemon fires nothing.
   const json::Value status = stamped.body;

@@ -6,7 +6,8 @@
 # (-DDOCKMINE_OBS=OFF) to prove the disabled path builds and records
 # nothing, then the byte-level suites under AddressSanitizer and UBSan
 # (a UB report fails the run): the DEFLATE encoder's and decoder's
-# word-wide reads, the tar parser and the layer pass.
+# word-wide reads, the tar parser, the layer pass, the JSON writer's
+# fixed number buffer and the serve daemon's shared pre-serialized bytes.
 #
 # The server suites (http_test, serve_chaos_test, dist_chaos_test) run in
 # both: they drive the one server loop serve, the coordinator and the HTTP
@@ -66,12 +67,14 @@ configure_and_build "${build_root}/obs-off" -DDOCKMINE_OBS=OFF
 "${build_root}/obs-off/tests/analyzer_test"
 "${build_root}/obs-off/tests/fuzz_test"
 
-echo "== [4/4] ASan + UBSan: compress, fuzz, synth, analyzer, http suites =="
+echo "== [4/4] ASan + UBSan: compress, fuzz, synth, analyzer, http, json, serve suites =="
 configure_and_build "${build_root}/asan" -DDOCKMINE_SANITIZE=address,undefined
 "${build_root}/asan/tests/compress_test"
 "${build_root}/asan/tests/fuzz_test"
 "${build_root}/asan/tests/synth_test"
 "${build_root}/asan/tests/analyzer_test"
 "${build_root}/asan/tests/http_test"
+"${build_root}/asan/tests/json_test"
+"${build_root}/asan/tests/serve_test"
 
 echo "All checks passed."
